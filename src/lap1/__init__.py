@@ -62,6 +62,7 @@ from .linalg import (
     internal_submatrix,
     laplacian,
     laplacian_multiplicity_one,
+    multiplicity_one_by_peeling,
     poly_root_multiplicity,
     rank,
 )

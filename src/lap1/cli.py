@@ -19,11 +19,13 @@ from .enumeration import (
     GraphClass,
     FILTER_NO_PENDANT_P3,
     FILTER_REDUCED,
+    MAX_TREE_N,
+    MAX_UNICYCLIC_N,
     filter_class,
     free_trees,
     unicyclic_graphs,
 )
-from .extremal import extremal_tree, extremal_unicyclic
+from .extremal import ExtremalSpec, extremal_tree, extremal_unicyclic
 from .graph6 import Graph6Error, parse_graph6, read_edge_list, to_graph6
 from .graphs import Graph, pendant_profile
 from .linalg import laplacian_multiplicity_one
@@ -72,6 +74,12 @@ def _check_cap(n: int) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    g = _read_graph(args)
+    _check_cap(g.n)
+    return g
+
+
+def _read_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "g6", None):
         try:
             return parse_graph6(args.g6)
@@ -82,13 +90,18 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             text = Path(args.file).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read {args.file}: {exc}") from exc
-        head = next((line for line in text.splitlines() if line.strip()), "")
+        lines = [line for line in text.splitlines() if line.strip()]
+        head = lines[0] if lines else ""
         parts = head.split()
         if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
             try:
                 return read_edge_list(text)
             except ValueError as exc:
                 raise UsageError(f"bad edge list in {args.file}: {exc}") from exc
+        if len(lines) > 1:
+            raise UsageError(
+                f"{args.file} holds {len(lines)} graph6 lines; give one graph"
+            )
         try:
             return parse_graph6(head)
         except Graph6Error as exc:
@@ -202,15 +215,15 @@ def _parse_filters(raw: str | None) -> frozenset[str]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_cap(args.n)
-    cls = GraphClass(args.cls, _parse_filters(args.filter))
     if args.cls == "tree":
-        stream = free_trees(args.n)
-    elif args.cls == "unicyclic":
-        stream = unicyclic_graphs(args.n)
+        lo, hi, generate = 1, MAX_TREE_N, free_trees
     else:
-        raise UsageError("enumerate supports --class tree or unicyclic")
+        lo, hi, generate = 3, MAX_UNICYCLIC_N, unicyclic_graphs
+    if not lo <= args.n <= hi:
+        raise UsageError(f"{args.cls} enumeration supports {lo} <= n <= {hi}")
+    cls = GraphClass(args.cls, _parse_filters(args.filter))
     count = 0
-    for g in filter_class(stream, cls):
+    for g in filter_class(generate(args.n), cls):
         print(to_graph6(g))
         count += 1
     print(f"{count} graphs", file=sys.stderr)
@@ -220,16 +233,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     _check_cap(args.n)
     try:
-        g = extremal_tree(args.n) if args.cls == "tree" else extremal_unicyclic(args.n)
+        spec = ExtremalSpec(args.cls, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    m = laplacian_multiplicity_one(g)
-    print(f"{to_graph6(g)} m={m}")
+    g = extremal_tree(spec.n) if spec.family == "tree" else extremal_unicyclic(spec.n)
+    print(f"{to_graph6(g)} m={spec.k}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n is not None:
+        if args.max_n < 1:
+            raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
         _check_cap(args.max_n)
     reports = run_suite(
         args.suite,
@@ -304,9 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,9 +2,10 @@
 
 Everything runs over arbitrary-precision integers (or exact rationals for
 eigenvalue targets): Bareiss fraction-free elimination for rank, the
-division-free Berkowitz recurrence for characteristic polynomials, and
-eigenvalue multiplicities derived from either route.  No floating point
-anywhere.
+division-free Berkowitz recurrence for characteristic polynomials,
+eigenvalue multiplicities derived from either route, and leaf elimination
+on L - I with exact rationals for the reduction pipeline.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -189,6 +190,73 @@ def eigen_multiplicity(m: IntMatrix, lam: int | Fraction) -> int:
 def laplacian_multiplicity_one(g: Graph) -> int:
     """Multiplicity of 1 as a Laplacian eigenvalue; the central quantity."""
     return eigen_multiplicity(laplacian(g), 1)
+
+
+def multiplicity_one_by_peeling(g: Graph) -> int:
+    """Multiplicity of 1 as a Laplacian eigenvalue, as the nullity of
+    L - I: leaf elimination in linear time, then Bareiss rank on the
+    residual core.
+
+    L - I has diagonal d(v) = deg(v) - 1 and -1 on every edge.  Vertices
+    of current degree <= 1 are eliminated by exact congruences (Jacobs &
+    Trevisan, "Locating the eigenvalues of trees", LAA 434, 2011):
+
+    * an isolated vertex adds one to the nullity if d(v) = 0;
+    * a leaf v with d(v) != 0 pivots on itself: d(r) -= 1/d(v) for its
+      neighbour r, off-diagonal entries unchanged;
+    * a leaf v with d(v) = 0 pivots on the pair v, r, which has full rank
+      2 and clears every other entry of r's row and column: v and r go,
+      and r's other edges with them.
+
+    What is left (the 2-core, or a subgraph of it) keeps -1 off the
+    diagonal; each of its rows is scaled by its diagonal's denominator
+    and passed to `rank`.  Trees and suns leave no core and make no
+    `rank` call.
+    """
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    d = [Fraction(len(nbrs) - 1) for nbrs in adj]
+    alive = [True] * g.n
+    todo = [v for v in range(g.n) if len(adj[v]) <= 1]
+    zeros = 0
+
+    def remove(v: int) -> None:
+        alive[v] = False
+        for w in adj[v]:
+            adj[w].discard(v)
+            if len(adj[w]) <= 1:
+                todo.append(w)
+        adj[v].clear()
+
+    # Degrees only fall, so a queued vertex stays at degree <= 1; it may
+    # be queued twice (leaf, then isolated) or removed as some r first.
+    while todo:
+        v = todo.pop()
+        if not alive[v]:
+            continue
+        if not adj[v]:
+            alive[v] = False
+            zeros += d[v] == 0
+            continue
+        (r,) = adj[v]
+        if d[v]:
+            d[r] -= 1 / d[v]
+            remove(v)
+        else:
+            remove(v)
+            remove(r)
+
+    core = [v for v in range(g.n) if alive[v]]
+    if not core:
+        return zeros
+    index = {v: i for i, v in enumerate(core)}
+    rows = []
+    for v in core:
+        row = [0] * len(core)
+        for w in adj[v]:
+            row[index[w]] = -d[v].denominator
+        row[index[v]] = d[v].numerator
+        rows.append(row)
+    return zeros + len(core) - rank(IntMatrix(rows, cols=len(core)))
 
 
 def internal_submatrix(g: Graph) -> IntMatrix:

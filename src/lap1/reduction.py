@@ -16,7 +16,8 @@ Rules and their effect on the multiplicity of the Laplacian eigenvalue 1:
                      adjacency multiplicity of -1
 * terminal rules     StarLikeZero / DoubleStarLikeZero (multiplicity 0),
                      CycleClosedForm (2 if 6 | n else 0),
-                     ExactRankFallback (exact rank computation)
+                     ExactRankFallback (leaf elimination, then Bareiss
+                     on the residual core)
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .graphs import (
     is_star_like,
     pendant_profile,
 )
-from .linalg import laplacian_multiplicity_one
+from .linalg import multiplicity_one_by_peeling
 
 PENDANT_CLUSTER = "PendantCluster"
 REDUCTION_OPERATION = "ReductionOperation"
@@ -306,7 +307,7 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
         elif _is_bare_cycle(sub):
             rule, residual = CYCLE_CLOSED_FORM, cycle_multiplicity_one(sub.n)
         else:
-            rule, residual = EXACT_RANK_FALLBACK, laplacian_multiplicity_one(sub)
+            rule, residual = EXACT_RANK_FALLBACK, multiplicity_one_by_peeling(sub)
         steps.append(ReductionStep(rule, form, form, residual))
         total += residual
     return total, ReductionTrace(to_graph6(g), tuple(steps), total)

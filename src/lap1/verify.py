@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -146,6 +145,10 @@ def _sort_violations(violations: list[dict]) -> list[dict]:
 def _map_graphs(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) < 4:
         return [fn(it) for it in items]
+    # Imported here: multiprocessing is about a tenth of every CLI
+    # call's start-up, and only --jobs > 1 needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (jobs * 8))
         return list(pool.map(fn, items, chunksize=chunk))

@@ -3,8 +3,11 @@ determinant-interpolation oracles."""
 
 from __future__ import annotations
 
+import ast
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +31,12 @@ from lap1.linalg import (
     internal_submatrix,
     laplacian,
     laplacian_multiplicity_one,
+    multiplicity_one_by_peeling,
     poly_root_multiplicity,
     rank,
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
+import oracles
 from oracles import charpoly_by_interpolation, fraction_rank
 
 
@@ -188,3 +193,97 @@ class TestMultiplicities:
             assert laplacian_multiplicity_one(g) == sum(
                 1 for e in ev if abs(e - 1) < 1e-8
             )
+
+
+def caterpillar(k: int) -> Graph:
+    """Spine P_{3k+5} with a pendant on every third spine vertex from the
+    third: order 4k + 6, multiplicity k."""
+    spine = 3 * k + 5
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(3 * j + 2, spine + j) for j in range(k + 1)]
+    return Graph(4 * k + 6, edges)
+
+
+def sun(k: int) -> Graph:
+    """C_{3k} with a pendant on every third cycle vertex: order 4k,
+    multiplicity k."""
+    edges = [(i, (i + 1) % (3 * k)) for i in range(3 * k)]
+    edges += [(3 * j, 3 * k + j) for j in range(k)]
+    return Graph(4 * k, edges)
+
+
+def forest_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random forest on n vertices (each vertex joins an earlier one
+    with probability 0.85) plus up to `extra` random edges: a small core
+    with trees hanging off it, often disconnected."""
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85}
+    for _ in range(extra if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, edges)
+
+
+class TestPeeling:
+    def test_examples(self):
+        assert multiplicity_one_by_peeling(Graph(0)) == 0
+        assert multiplicity_one_by_peeling(Graph(1)) == 0
+        assert multiplicity_one_by_peeling(path_graph(2)) == 0
+        assert multiplicity_one_by_peeling(star_graph(3)) == 2
+        assert multiplicity_one_by_peeling(cycle_graph(6)) == 2
+        assert multiplicity_one_by_peeling(cycle_graph(7)) == 0
+        g = disjoint_union(cycle_graph(6), disjoint_union(path_graph(6), star_graph(3)))
+        assert multiplicity_one_by_peeling(g) == 2 + 1 + 2
+
+    def test_paths_cascade_of_zero_leaves(self):
+        # every end of P_n is a zero leaf; removing it and its neighbour
+        # leaves a leaf of diagonal 1, whose pivot zeroes the next one, so
+        # the whole path goes in alternating steps.  The Laplacian
+        # eigenvalues 2 - 2cos(pi j / n) hit 1 only at j = n / 3.
+        for n in range(1, 40):
+            assert multiplicity_one_by_peeling(path_graph(n)) == (n % 3 == 0)
+
+    def test_agrees_on_all_small_trees_and_unicyclic_graphs(self):
+        for n in range(1, 13):
+            for t in free_trees(n):
+                assert multiplicity_one_by_peeling(t) == laplacian_multiplicity_one(t)
+        for n in range(3, 11):
+            for g in unicyclic_graphs(n):
+                assert multiplicity_one_by_peeling(g) == laplacian_multiplicity_one(g)
+
+    def test_agrees_on_graphs_with_hanging_trees(self):
+        rng = random.Random(17)
+        disconnected = 0
+        for _ in range(800):
+            g = forest_plus_edges(rng, rng.randint(1, 24), rng.randint(0, 6))
+            disconnected += not g.is_connected()
+            assert multiplicity_one_by_peeling(g) == laplacian_multiplicity_one(g)
+        assert disconnected > 100
+
+    def test_agrees_on_dense_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            assert multiplicity_one_by_peeling(g) == laplacian_multiplicity_one(g)
+
+    def test_large_extremal_shapes_in_linear_time(self):
+        for build, k in ((caterpillar, 2500), (sun, 2500)):
+            g = build(k)
+            assert g.n >= 10_000
+            t0 = time.perf_counter()
+            assert multiplicity_one_by_peeling(g) == k
+            assert time.perf_counter() - t0 < 5.0
+
+
+def test_oracles_import_no_package_code():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module or "" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert imported and not any(name.split(".")[0] == "lap1" for name in imported)

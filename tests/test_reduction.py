@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import lap1.linalg as linalg
 from lap1.canon import canonical_form
 from lap1.graphs import (
     Graph,
@@ -337,6 +338,38 @@ class TestMultiplicityFast:
         for n in range(3, 9):
             for g in unicyclic_graphs(n):
                 assert multiplicity_fast(g)[0] == m1(g)
+
+    def test_fallback_peels_trees_and_suns_without_rank(self, monkeypatch):
+        caterpillar = Graph(14, [(i, i + 1) for i in range(10)]
+                            + [(2, 11), (5, 12), (8, 13)])
+        sun = Graph(12, [(i, (i + 1) % 9) for i in range(9)]
+                    + [(0, 9), (3, 10), (6, 11)])
+        expected = [m1(caterpillar), m1(sun)]
+
+        def no_rank(m):
+            raise AssertionError("rank called on a graph without a core")
+
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        for g, want in zip((caterpillar, sun), expected):
+            m, trace = multiplicity_fast(g)
+            assert m == want
+            assert trace.steps[-1].rule == "ExactRankFallback"
+
+    def test_fallback_ranks_only_the_core(self, monkeypatch):
+        # a 5-cycle with a chord and a pendant path: the path is peeled and
+        # one rank call sees the 5 core vertices
+        g = Graph(8, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(0, 2), (4, 5), (5, 6), (6, 7)])
+        expected = m1(g)
+        orders = []
+        real_rank = linalg.rank
+        monkeypatch.setattr(
+            linalg, "rank", lambda m: orders.append(m.rows) or real_rank(m)
+        )
+        m, trace = multiplicity_fast(g)
+        assert m == expected
+        assert [s.rule for s in trace.steps] == ["ExactRankFallback"]
+        assert orders == [5]
 
     def test_agreement_on_random_graphs(self):
         rng = random.Random(11)

@@ -198,6 +198,54 @@ class TestCli:
         assert cli.main(["enumerate", "--class", "tree", "--n", "9"]) == 0
         capsys.readouterr()
 
+    def test_env_cap_covers_mult_and_reduce(self, tmp_path, capsys, monkeypatch):
+        g6 = to_graph6(path_graph(8))
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(path_graph(8)))
+        monkeypatch.setenv("LAP1_MAX_N", "6")
+        for cmd in ("mult", "reduce"):
+            assert cli.main([cmd, "--g6", g6]) == 2
+            assert cli.main([cmd, "--file", str(path)]) == 2
+        assert "LAP1_MAX_N=6" in capsys.readouterr().err
+        monkeypatch.setenv("LAP1_MAX_N", "8")
+        assert cli.main(["mult", "--g6", g6]) == 0
+        capsys.readouterr()
+
+    def test_file_with_several_graphs_rejected(self, tmp_path, capsys):
+        path = tmp_path / "many.g6"
+        path.write_text("Bw\n\nCs\nCF\n")
+        assert cli.main(["mult", "--file", str(path)]) == 2
+        assert "3 graph6 lines" in capsys.readouterr().err
+        path.write_text("\nBw\n\n")
+        assert cli.main(["mult", "--file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
+    def test_out_of_range_inputs_are_usage_errors(self, capsys):
+        for argv in (
+            ["enumerate", "--class", "tree", "--n", "17"],
+            ["enumerate", "--class", "tree", "--n", "0"],
+            ["enumerate", "--class", "unicyclic", "--n", "2"],
+            ["verify", "thm1", "--max-n", "0"],
+        ):
+            assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().out == ""
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(g):
+            raise ValueError("internal defect")
+
+        monkeypatch.setattr(cli, "multiplicity_fast", broken)
+        with pytest.raises(ValueError, match="internal defect"):
+            cli.main(["mult", "--g6", "Bw"])
+
+    def test_extremal_reports_the_verified_k(self, capsys, monkeypatch):
+        def no_second_check(g):
+            raise AssertionError("multiplicity computed again")
+
+        monkeypatch.setattr(cli, "laplacian_multiplicity_one", no_second_check)
+        assert cli.main(["extremal", "--class", "tree", "--n", "14"]) == 0
+        assert capsys.readouterr().out.strip().endswith(" m=2")
+
     def test_verify_cli_json_out(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = cli.main(
