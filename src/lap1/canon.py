@@ -3,16 +3,27 @@
 Each connected component is canonically labeled by an algorithm suited to
 its shape, then components are ordered by their canonical keys:
 
-* trees and forests: AHU subtree codes rooted at the tree center(s);
+* trees and forests: AHU subtree codes rooted at the tree center(s),
+  as flat strings, so depth never hits the recursion limit;
 * unicyclic components: rotation/reflection-minimal word of AHU codes of
-  the trees hanging off the unique cycle;
-* everything else: degree refinement with individualization, branching
-  only on one representative per twin class, minimizing the adjacency
-  bitstring over the explored labelings.
+  the trees hanging off the unique cycle, found by a linear-time least
+  rotation scan in each direction;
+* everything else: degree refinement with individualization, minimizing
+  the adjacency bitstring over the explored labelings.  The search
+  branches on one representative per twin class, and prunes with the
+  automorphisms it finds (McKay & Piperno, "Practical graph isomorphism,
+  II", 2014): two leaves with equal bitstrings give an automorphism, and
+  a child in the same orbit as an explored sibling, under the
+  automorphisms fixing the path to their node, is skipped.  A pruned
+  subtree is the image of an explored one, so the minimum, and the first
+  labeling that attains it, are the same as without this pruning.
 
 All three are complete invariants, so the dispatch (which is itself
 isomorphism-invariant) preserves the equal-iff-isomorphic contract.
-Intended for n <= 16; larger inputs work but may be slow.
+Tree and unicyclic codes cost about order times depth.  The general
+search has no polynomial bound, but vertex-transitive graphs up to 64
+vertices (the hypercube Q6, the 6 x 6 rook's graph) finish in under a
+second.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Sequence
 from .graph6 import to_graph6
 from .graphs import Graph
 
-Code = tuple  # nested (mark, (child codes...)) tuples
+Code = str  # AHU code: mark digit, sorted child codes, ")"
 
 
 def _rooted_code(
@@ -30,35 +41,41 @@ def _rooted_code(
     root: int,
     blocked: frozenset[int] = frozenset(),
     mark: int | None = None,
-) -> tuple[dict[int, Code], dict[int, int | None]]:
-    """AHU codes of the tree reachable from root without entering blocked
-    vertices.  Returns (code per vertex, parent per vertex)."""
-    parent: dict[int, int | None] = {root: None}
+) -> tuple[Code, dict[int, list[int]]]:
+    """AHU code of the tree reachable from root without entering blocked
+    vertices, and each vertex's children in ascending (code, vertex) order.
+
+    A code is the mark digit, the sorted child codes, then ")".  Codes are
+    prefix-free and ")" sorts below both digits, so comparing two codes as
+    strings is comparing (mark, sorted child codes) lexicographically,
+    with no recursion however deep the tree."""
+    kids: dict[int, list[int]] = {root: []}
     order = [root]
     for v in order:
         for w in g.neighbors(v):
-            if w not in parent and w not in blocked:
-                parent[w] = v
+            if w not in kids and w not in blocked:
+                kids[w] = []
+                kids[v].append(w)
                 order.append(w)
+    # Children start in ascending vertex order and the sort is stable.  A
+    # child's code is dropped once its parent's is built, so only the
+    # codes of unfinished subtrees are held at a time.
     code: dict[int, Code] = {}
     for v in reversed(order):
-        kids = sorted(code[w] for w in g.neighbors(v) if parent.get(w) == v)
-        code[v] = (1 if v == mark else 0, tuple(kids))
-    return code, parent
+        ch = kids[v]
+        ch.sort(key=code.__getitem__)
+        code[v] = ("1" if v == mark else "0") + "".join([code.pop(w) for w in ch]) + ")"
+    return code[root], kids
 
 
-def _code_dfs(g: Graph, root: int, parent: dict, code: dict) -> list[int]:
-    """Preorder walk visiting children in ascending code order."""
+def _code_dfs(root: int, kids: dict[int, list[int]]) -> list[int]:
+    """Preorder walk visiting children in the order _rooted_code gave."""
     out = []
     stack = [root]
     while stack:
         v = stack.pop()
         out.append(v)
-        kids = sorted(
-            (w for w in g.neighbors(v) if parent.get(w) == v),
-            key=lambda w: code[w],
-        )
-        stack.extend(reversed(kids))
+        stack.extend(reversed(kids[v]))
     return out
 
 
@@ -87,16 +104,16 @@ def _tree_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
     centers = _tree_centers(g, comp)
     if len(centers) == 1:
         c = centers[0]
-        code, parent = _rooted_code(g, c)
-        return _code_dfs(g, c, parent, code)
+        return _code_dfs(c, _rooted_code(g, c)[1])
     c1, c2 = centers
-    code1, par1 = _rooted_code(g, c1, frozenset([c2]))
-    code2, par2 = _rooted_code(g, c2, frozenset([c1]))
-    halves = [(code1[c1], c1, par1, code1), (code2[c2], c2, par2, code2)]
+    halves = [
+        _rooted_code(g, c1, frozenset([c2])) + (c1,),
+        _rooted_code(g, c2, frozenset([c1])) + (c2,),
+    ]
     halves.sort(key=lambda h: h[0])
     out = []
-    for _, root, parent, code in halves:
-        out.extend(_code_dfs(g, root, parent, code))
+    for _, kids, root in halves:
+        out.extend(_code_dfs(root, kids))
     return out
 
 
@@ -106,13 +123,39 @@ def tree_marked_code(g: Graph, v: int) -> Code:
     comp = list(range(g.n))
     centers = _tree_centers(g, comp)
     if len(centers) == 1:
-        c = centers[0]
-        code, _ = _rooted_code(g, c, mark=v)
-        return code[c]
+        return _rooted_code(g, centers[0], mark=v)[0]
     c1, c2 = centers
-    code1, _ = _rooted_code(g, c1, frozenset([c2]), mark=v)
-    code2, _ = _rooted_code(g, c2, frozenset([c1]), mark=v)
-    return tuple(sorted([code1[c1], code2[c2]]))
+    code1 = _rooted_code(g, c1, frozenset([c2]), mark=v)[0]
+    code2 = _rooted_code(g, c2, frozenset([c1]), mark=v)[0]
+    return "".join(sorted([code1, code2]))
+
+
+def _least_rotation(word: Sequence[Code]) -> tuple[int, int]:
+    """First start of the least rotation of a cyclic word, and the word's
+    period, in linear time: the least rotations start exactly at
+    start + j * period."""
+    n = len(word)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        x, y = word[(i + k) % n], word[(j + k) % n]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    border = [0] * n  # longest proper border of word[:q + 1]
+    for q in range(1, n):
+        b = border[q - 1]
+        while b and word[q] != word[b]:
+            b = border[b - 1]
+        border[q] = b + (word[q] == word[b])
+    period = n - border[-1]
+    return min(i, j), period if n % period == 0 else n
 
 
 def _unicyclic_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
@@ -129,7 +172,7 @@ def _unicyclic_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
                     if deg[w] == 1:
                         nxt.append(w)
         leaves = nxt
-    coreset = {v for v in comp if deg[v] > 0}
+    coreset = frozenset(v for v in comp if deg[v] > 0)
     start = min(coreset)
     cyc = []
     prev, cur = None, start
@@ -142,57 +185,58 @@ def _unicyclic_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
     length = len(cyc)
 
     hang_code: dict[int, Code] = {}
-    hang_parent: dict[int, int | None] = {}
+    hang_kids: dict[int, list[int]] = {}
     for c in cyc:
-        code, parent = _rooted_code(g, c, frozenset(coreset - {c}))
-        hang_code.update(code)
-        hang_parent.update(parent)
+        hang_code[c], kids = _rooted_code(g, c, coreset)
+        hang_kids.update(kids)
 
+    # The least walk over both directions and every start; the first of
+    # equal walks (direction 1 first, then the smallest start s) wins.
     best = None
     best_walk = None
     for direction in (1, -1):
-        for s in range(length):
-            walk = [cyc[(s + direction * i) % length] for i in range(length)]
-            cand = tuple(hang_code[v] for v in walk)
-            if best is None or cand < best:
-                best, best_walk = cand, walk
+        word = [hang_code[cyc[direction * i % length]] for i in range(length)]
+        t, period = _least_rotation(word)
+        # Walk s reads word from position -s % length, and the least
+        # rotations start at t + j * period.
+        s = t if direction == 1 else -t % period
+        walk = [cyc[(s + direction * i) % length] for i in range(length)]
+        cand = [hang_code[v] for v in walk]
+        if best is None or cand < best:
+            best, best_walk = cand, walk
     out = []
     for c in best_walk:
-        out.extend(_code_dfs(g, c, hang_parent, hang_code))
+        out.extend(_code_dfs(c, hang_kids))
     return out
 
 
 def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
     idx = {v: i for i, v in enumerate(comp)}
     k = len(comp)
-    masks = [0] * k
-    for v in comp:
-        m = 0
-        for w in g.neighbors(v):
-            m |= 1 << idx[w]
-        masks[idx[v]] = m
+    nbrs = [[idx[w] for w in g.neighbors(v)] for v in comp]
+    masks = [sum(1 << w for w in nb) for nb in nbrs]
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
         changed = True
         while changed:
             changed = False
-            cellmasks = []
-            for c in cells:
-                cm = 0
+            cell_of = [0] * k
+            for ci, c in enumerate(cells):
                 for v in c:
-                    cm |= 1 << v
-                cellmasks.append(cm)
+                    cell_of[v] = ci
+            ncells = len(cells)
             out = []
             for c in cells:
                 if len(c) == 1:
                     out.append(c)
                     continue
+                # sig[i] = number of v's neighbours in cell i
                 groups: dict[tuple, list[int]] = {}
                 for v in c:
-                    sig = tuple(
-                        bin(masks[v] & cm).count("1") for cm in cellmasks
-                    )
-                    groups.setdefault(sig, []).append(v)
+                    sig = [0] * ncells
+                    for w in nbrs[v]:
+                        sig[cell_of[w]] += 1
+                    groups.setdefault(tuple(sig), []).append(v)
                 if len(groups) > 1:
                     changed = True
                 for sig in sorted(groups):
@@ -208,16 +252,30 @@ def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
                 key = (key << 1) | ((mo >> order[i]) & 1)
         return key
 
-    best: list = [None, None]  # key, order
+    # Leaves with equal keys differ by an automorphism: order[i] -> other[i].
+    first: list = [None, None]  # key, order of the first leaf
+    best: list = [None, None]  # key, order of the first minimal leaf
+    autos: list[list[int]] = []
 
-    def rec(cells: list[list[int]]) -> None:
+    def leaf(order: list[int]) -> None:
+        kk = bits_key(order)
+        for key, seen in (best, first):
+            if kk == key:
+                perm = [0] * k
+                for a, b in zip(seen, order):
+                    perm[a] = b
+                autos.append(perm)
+                break
+        if first[0] is None:
+            first[0], first[1] = kk, order
+        if best[0] is None or kk < best[0]:
+            best[0], best[1] = kk, order
+
+    def rec(cells: list[list[int]], prefix: list[int]) -> None:
         cells = refine(cells)
         target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            order = [c[0] for c in cells]
-            kk = bits_key(order)
-            if best[0] is None or kk < best[0]:
-                best[0], best[1] = kk, order
+            leaf([c[0] for c in cells])
             return
         cell = cells[target]
         # Branch once per twin class: swapping twins is an automorphism,
@@ -233,12 +291,35 @@ def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
                     break
             else:
                 classes.append([v])
+        # Orbit pruning: an automorphism fixing the prefix pointwise maps
+        # this node to itself and the child of v to the child of its
+        # image, whose subtree then holds the same keys.  Orbits are merged
+        # by union-find over the automorphisms found so far.
+        orbit = {v: v for v in cell}
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        used = 0
+        explored: list[int] = []
         for cls in classes:
             v = cls[0]
+            for perm in autos[used:]:
+                if all(perm[p] == p for p in prefix):
+                    for u in cell:
+                        orbit[find(u)] = find(perm[u])
+            used = len(autos)
+            root = find(v)
+            if any(find(u) == root for u in explored):
+                continue
+            explored.append(v)
             rest = [w for w in cell if w != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1 :])
+            rec(cells[:target] + [[v], rest] + cells[target + 1 :], prefix + [v])
 
-    rec([list(range(k))])
+    rec([list(range(k))], [])
     return [comp[i] for i in best[1]]
 
 

@@ -161,6 +161,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     else:
         result = g
         offset = 0
+        form = None  # canonical form of result, once a step needs it
         while True:
             prof = pendant_profile(result)
             target = next(
@@ -172,15 +173,16 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 w for w in result.neighbors(target) if result.degree(w) == 1
             )
             nxt = reduction_operation(result, u, target)
+            nxt_form = canonical_form(nxt)
             steps.append(
                 ReductionStep(
                     REDUCTION_OPERATION,
-                    canonical_form(result),
-                    canonical_form(nxt),
+                    form or canonical_form(result),
+                    nxt_form,
                     0,
                 )
             )
-            result = nxt
+            result, form = nxt, nxt_form
     trace = ReductionTrace(input_g6, tuple(steps), offset)
     _emit(
         {

@@ -11,6 +11,9 @@ with 0-indexed whitespace-separated endpoints.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
@@ -23,24 +26,21 @@ class Graph6Error(ValueError):
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        out = [chr(n + 63)]
+        head = chr(n + 63)
     elif n <= 258047:
-        out = [chr(126)]
-        out.extend(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+        head = chr(126) + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
     else:
         raise Graph6Error(f"vertex count {n} too large for this encoder")
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(bits + 63))
-                bits = nbits = 0
-    if nbits:
-        out.append(chr((bits << (6 - nbits)) + 63))
-    return "".join(out)
+    # Every group starts as "?" (63, no bits set); each edge sets its bit.
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for i, j in g.edges:  # i < j
+        bit = j * (j - 1) // 2 + i
+        body[bit // 6] += 32 >> (bit % 6)
+    return head + body.decode("ascii")
+
+
+_INVALID = re.compile(r"[^?-~]")  # outside chr(63)..chr(126)
+_NONZERO = re.compile(rb"[^?]")  # a group with at least one bit set
 
 
 def parse_graph6(text: str) -> Graph:
@@ -49,20 +49,18 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(HEADER):].strip()
     if not s:
         raise Graph6Error("empty graph6 string")
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!r}")
-        vals.append(o - 63)
-    if vals[0] == 63:
-        if len(vals) < 4:
+    bad = _INVALID.search(s)
+    if bad:
+        raise Graph6Error(f"invalid graph6 character {bad.group()!r}")
+    data = s.encode("ascii")
+    if data[0] == 126:
+        if len(data) < 4:
             raise Graph6Error("truncated extended vertex count")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = data[0] - 63
+        body = data[1:]
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
     if len(body) != need:
@@ -70,17 +68,17 @@ def parse_graph6(text: str) -> Graph:
             f"payload length {len(body)} does not match n={n} (expected {need})"
         )
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            group, offset = divmod(idx, 6)
-            if (body[group] >> (5 - offset)) & 1:
-                edges.append((i, j))
-            idx += 1
-    if npairs % 6:
-        pad = body[-1] & ((1 << (6 - npairs % 6)) - 1)
-        if pad:
-            raise Graph6Error("nonzero trailing padding bits")
+    for hit in _NONZERO.finditer(body):
+        group = hit.start()
+        val = body[group] - 63
+        for offset in range(6):
+            if (val >> (5 - offset)) & 1:
+                bit = group * 6 + offset
+                if bit >= npairs:
+                    raise Graph6Error("nonzero trailing padding bits")
+                # pairs run column by column: column j starts at j(j-1)/2
+                j = (1 + isqrt(8 * bit + 1)) // 2
+                edges.append((bit - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

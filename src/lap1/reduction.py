@@ -297,9 +297,13 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
             cur, cur_form = nxt, nxt_form
             continue
         break
-    for comp in cur.components():
-        sub, _ = cur.induced_subgraph(comp)
-        form = canonical_form(sub)
+    comps = cur.components()
+    for comp in comps:
+        if len(comps) == 1:
+            sub, form = cur, cur_form
+        else:
+            sub, _ = cur.induced_subgraph(comp)
+            form = canonical_form(sub)
         if is_star_like(sub):
             rule, residual = STAR_LIKE_ZERO, 0
         elif is_double_star_like(sub):

@@ -1,0 +1,53 @@
+"""Graph families built in code for the tests: the extremal shapes, which
+reach any order, and highly symmetric graphs, which stress canonical
+labelling."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from lap1.graphs import Graph
+
+
+def caterpillar(k: int) -> Graph:
+    """Spine P_{3k+5} with a pendant on every third spine vertex from the
+    third: order 4k + 6, multiplicity k."""
+    spine = 3 * k + 5
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(3 * j + 2, spine + j) for j in range(k + 1)]
+    return Graph(4 * k + 6, edges)
+
+
+def sun(k: int) -> Graph:
+    """C_{3k} with a pendant on every third cycle vertex: order 4k,
+    multiplicity k."""
+    edges = [(i, (i + 1) % (3 * k)) for i in range(3 * k)]
+    edges += [(3 * j, 3 * k + j) for j in range(k)]
+    return Graph(4 * k, edges)
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: bit strings of length d, joined when they differ in one bit."""
+    n = 1 << d
+    return Graph(n, [(u, u | 1 << i) for u in range(n) for i in range(d)
+                     if not u >> i & 1])
+
+
+def rook(r: int) -> Graph:
+    """The r x r rook's graph: cells joined when they share a row or column."""
+    return Graph(r * r, [(u, v) for u, v in combinations(range(r * r), 2)
+                         if u // r == v // r or u % r == v % r])
+
+
+def paley(q: int) -> Graph:
+    """Paley graph of a prime q = 1 (mod 4): a ~ b iff a - b is a square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(a, b) for a, b in combinations(range(q), 2)
+                     if (b - a) % q in squares])
+
+
+def petersen() -> Graph:
+    """Kneser graph K(5, 2): 2-subsets of {0..4}, joined when disjoint."""
+    pairs = list(combinations(range(5), 2))
+    return Graph(10, [(a, b) for a, b in combinations(range(10), 2)
+                      if not set(pairs[a]) & set(pairs[b])])

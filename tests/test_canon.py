@@ -4,21 +4,26 @@ brute-force permutation oracle and networkx VF2."""
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 
 from lap1.canon import canonical_form, canonical_graph, tree_marked_code
+from lap1.graph6 import parse_graph6
 from lap1.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    line_graph,
     path_graph,
     spider,
     star_graph,
 )
+from families import caterpillar, hypercube, paley, petersen, rook
+from fixtures import CANONICAL_FORMS
 from oracles import brute_canonical_edges
 
 
@@ -116,3 +121,44 @@ def test_highly_symmetric_inputs_complete_quickly():
     assert canonical_form(star_graph(13)) == canonical_form(
         star_graph(13).relabel([13] + list(range(13)))
     )
+
+
+def test_forms_are_pinned():
+    got = {name: canonical_form(parse_graph6(g6)) for name, g6, _ in CANONICAL_FORMS}
+    assert got == {name: form for name, _, form in CANONICAL_FORMS}
+
+
+SYMMETRIC = [
+    ("Q5", hypercube(5)),
+    ("Q6", hypercube(6)),
+    ("rook5", rook(5)),
+    ("paley13", paley(13)),
+    ("paley17", paley(17)),
+    ("petersen", petersen()),
+    ("L(petersen)", line_graph(petersen())),
+]
+
+
+@pytest.mark.parametrize("name, g", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_symmetric_graphs_relabel_invariant_within_time(name, g):
+    # Vertex-transitive graphs give refinement nothing to split, so the
+    # labeller must prune its search with the automorphisms it finds.
+    rng = random.Random(name)
+    want = canonical_form(g)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        t0 = time.perf_counter()
+        assert canonical_form(g.relabel(perm)) == want
+        assert time.perf_counter() - t0 < 5.0
+
+
+def test_deep_tree_forms_and_orbit_keys():
+    # A spine of 1,505 vertices: codes nest that deep, and comparing
+    # them must not recurse.
+    g = caterpillar(500)
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    assert canonical_form(g.relabel(perm)) == canonical_form(g)
+    spine_end, last_pendant = 0, g.n - 1
+    assert tree_marked_code(g, spine_end) != tree_marked_code(g, last_pendant)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from lap1.graph6 import (
 )
 from lap1.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from lap1.enumeration import free_trees
+from families import caterpillar
 
 
 def test_known_strings():
@@ -69,6 +72,15 @@ def test_large_n_long_form():
     assert parse_graph6(s) == g
 
 
+def test_large_n_roundtrip_within_time():
+    g = caterpillar(2500)
+    assert g.n == 10_006
+    t0 = time.perf_counter()
+    s = to_graph6(g)
+    assert parse_graph6(s) == g
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_parse_errors():
     with pytest.raises(Graph6Error):
         parse_graph6("")
@@ -81,6 +93,8 @@ def test_parse_errors():
     with pytest.raises(Graph6Error, match="padding"):
         # n=3 uses 3 pair bits; '@'+1 sets the lowest padding bit
         parse_graph6("B@")
+    with pytest.raises(Graph6Error, match="padding"):
+        parse_graph6("BC")  # the first padding bit
 
 
 @given(st.integers(0, 11), st.data())

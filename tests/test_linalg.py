@@ -37,6 +37,7 @@ from lap1.linalg import (
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
 import oracles
+from families import caterpillar, sun
 from oracles import charpoly_by_interpolation, fraction_rank
 
 
@@ -193,23 +194,6 @@ class TestMultiplicities:
             assert laplacian_multiplicity_one(g) == sum(
                 1 for e in ev if abs(e - 1) < 1e-8
             )
-
-
-def caterpillar(k: int) -> Graph:
-    """Spine P_{3k+5} with a pendant on every third spine vertex from the
-    third: order 4k + 6, multiplicity k."""
-    spine = 3 * k + 5
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    edges += [(3 * j + 2, spine + j) for j in range(k + 1)]
-    return Graph(4 * k + 6, edges)
-
-
-def sun(k: int) -> Graph:
-    """C_{3k} with a pendant on every third cycle vertex: order 4k,
-    multiplicity k."""
-    edges = [(i, (i + 1) % (3 * k)) for i in range(3 * k)]
-    edges += [(3 * j, 3 * k + j) for j in range(k)]
-    return Graph(4 * k, edges)
 
 
 def forest_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:

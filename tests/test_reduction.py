@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,7 @@ from lap1.reduction import (
     reduction_operation,
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
+from families import caterpillar, sun
 
 
 def iso(a: Graph, b: Graph) -> bool:
@@ -370,6 +372,18 @@ class TestMultiplicityFast:
         assert m == expected
         assert [s.rule for s in trace.steps] == ["ExactRankFallback"]
         assert orders == [5]
+
+    def test_large_extremal_shapes_within_time(self):
+        # deep tree codes, a long cycle of hanging trees, and graph6
+        # strings of 8 MB for the trace
+        rng = random.Random(29)
+        for build, k in ((caterpillar, 2500), (sun, 2500)):
+            g = build(k)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            t0 = time.perf_counter()
+            assert multiplicity_fast(g.relabel(perm))[0] == k
+            assert time.perf_counter() - t0 < 5.0
 
     def test_agreement_on_random_graphs(self):
         rng = random.Random(11)

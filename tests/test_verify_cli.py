@@ -8,8 +8,9 @@ import pytest
 
 import lap1.cli as cli
 import lap1.linalg as linalg
+from lap1.canon import canonical_form
 from lap1.graph6 import parse_graph6, to_graph6, write_edge_list
-from lap1.graphs import path_graph, star_graph
+from lap1.graphs import Graph, path_graph, star_graph
 from lap1.verify import (
     clear_caches,
     run_suite,
@@ -18,6 +19,7 @@ from lap1.verify import (
     verify_thm2,
     verify_thm3,
 )
+from families import caterpillar
 
 
 def strip_runtime(report_json: dict) -> dict:
@@ -114,6 +116,13 @@ class TestCli:
         assert cli.main(["mult", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["m1"] == 2
 
+    def test_mult_fast_on_deep_tree(self, tmp_path, capsys):
+        # order 2006: tree codes nest about 750 deep from the centre
+        path = tmp_path / "g.g6"
+        path.write_text(to_graph6(caterpillar(500)) + "\n")
+        assert cli.main(["mult", "--method", "fast", "--file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["m1"] == 500
+
     def test_mult_parse_failure_exit_2(self, capsys):
         assert cli.main(["mult", "--g6", "B\x07"]) == 2
         assert cli.main(["mult"]) == 2
@@ -152,6 +161,18 @@ class TestCli:
         prof = pendant_profile(result)
         assert all(result.degree(v) <= 2 for v in prof.quasi_pendants)
         assert all(s["rule"] == "ReductionOperation" for s in out["trace"]["steps"])
+
+        # a spine of three quasi-pendants of degree >= 3: each step starts
+        # from the graph the previous one produced
+        g = Graph(10, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7),
+                       (7, 8), (7, 9)])
+        assert cli.main(["reduce", "--g6", to_graph6(g), "--to", "final"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        steps = out["trace"]["steps"]
+        chain = [canonical_form(g)] + [s["after_g6"] for s in steps]
+        assert len(steps) == 3
+        assert [s["before_g6"] for s in steps] == chain[:-1]
+        assert chain[-1] == canonical_form(parse_graph6(out["graph6"]))
 
     def test_enumerate_counts(self, capsys):
         assert cli.main(["enumerate", "--class", "tree", "--n", "7"]) == 0
