@@ -16,8 +16,8 @@ Rules and their effect on the multiplicity of the Laplacian eigenvalue 1:
                      adjacency multiplicity of -1
 * terminal rules     StarLikeZero / DoubleStarLikeZero (multiplicity 0),
                      CycleClosedForm (2 if 6 | n else 0),
-                     ExactRankFallback (leaf elimination, then Bareiss
-                     on the residual core)
+                     ExactRankFallback (leaf elimination, then the
+                     exact rank of the residual core)
 """
 
 from __future__ import annotations

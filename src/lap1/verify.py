@@ -2,8 +2,8 @@
 reportable checks.
 
 Every per-graph check also cross-validates three multiplicity routes
-(Bareiss rank, Berkowitz characteristic polynomial, reduction pipeline),
-so a defect in any one engine surfaces as a "cross-oracle" violation.
+(exact rank, Berkowitz characteristic polynomial, reduction pipeline), so
+a defect in any one engine surfaces as a "cross-oracle" violation.
 """
 
 from __future__ import annotations

@@ -26,6 +26,11 @@ def sun(k: int) -> Graph:
     return Graph(4 * k, edges)
 
 
+def circulant(n: int, k: int) -> Graph:
+    """C_n(1, k): vertex i joined to i +- 1 and i +- k (mod n)."""
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, k)])
+
+
 def hypercube(d: int) -> Graph:
     """Q_d: bit strings of length d, joined when they differ in one bit."""
     n = 1 << d

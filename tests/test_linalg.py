@@ -37,7 +37,7 @@ from lap1.linalg import (
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
 import oracles
-from families import caterpillar, sun
+from families import caterpillar, circulant, sun
 from oracles import charpoly_by_interpolation, fraction_rank
 
 
@@ -89,6 +89,74 @@ class TestRank:
             [0, 0, 6, 3],
         ]
         assert rank(IntMatrix(rows)) == 1
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 100), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_big_entries_against_fraction_elimination(
+        self, r, c, density, data
+    ):
+        entry = st.integers(-10**6, 10**6)
+        percent = st.integers(0, 99)
+        rows = [
+            [data.draw(entry) if data.draw(percent) < density else 0
+             for _ in range(c)]
+            for _ in range(r)
+        ]
+        assert rank(IntMatrix(rows)) == fraction_rank(rows)
+
+    def test_products_of_thin_factors(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            r, c, k = rng.randint(1, 14), rng.randint(1, 14), rng.randint(1, 5)
+            left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(k)]
+            rows = [
+                [sum(x * right[t][j] for t, x in enumerate(row)) for j in range(c)]
+                for row in left
+            ]
+            got = rank(IntMatrix(rows))
+            assert got == fraction_rank(rows) and got <= k
+
+    def test_zero_lines_and_wide_and_tall_shapes(self):
+        assert rank(IntMatrix.zeros(3, 7)) == 0
+        assert rank(IntMatrix.zeros(0, 5)) == 0
+        rng = random.Random(37)
+        for r, c in ((1, 12), (12, 1), (3, 20), (20, 3), (2, 2), (9, 9)):
+            for _ in range(20):
+                rows = [[rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                         for _ in range(c)] for _ in range(r)]
+                for i in rng.sample(range(r), r // 3):
+                    rows[i] = [0] * c
+                for j in rng.sample(range(c), c // 3):
+                    for row in rows:
+                        row[j] = 0
+                assert rank(IntMatrix(rows)) == fraction_rank(rows)
+
+    def test_shifted_laplacians_of_relabelled_sparse_graphs(self):
+        rng = random.Random(41)
+        graphs = [sun(k) for k in (1, 5, 15)]
+        graphs += [circulant(n, k) for n in (12, 30, 59) for k in (2, 5, n // 3)]
+        for n in (2, 10, 30, 60):
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            graphs.append(Graph(n, oracles.prufer_to_edges(seq)))
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            lap = laplacian(g.relabel(perm)).data
+            rows = [[x - (i == j) for j, x in enumerate(row)]
+                    for i, row in enumerate(lap)]
+            assert rank(IntMatrix(rows)) == fraction_rank(rows)
+
+    def test_dense_full_rank_entries_stay_small(self):
+        # without dividing each updated row by the gcd of its entries the
+        # entries double in length at every pivot, and this takes over 20 s
+        rng = random.Random(0)
+        rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+        m = IntMatrix(rows)
+        t0 = time.perf_counter()
+        assert rank(m) == 24
+        assert time.perf_counter() - t0 < 1.0
+        assert fraction_rank(rows) == 24
 
 
 class TestCharPoly:

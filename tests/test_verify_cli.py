@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from lap1.verify import (
     verify_thm2,
     verify_thm3,
 )
-from families import caterpillar
+from families import caterpillar, sun
 
 
 def strip_runtime(report_json: dict) -> dict:
@@ -122,6 +124,20 @@ class TestCli:
         path.write_text(to_graph6(caterpillar(500)) + "\n")
         assert cli.main(["mult", "--method", "fast", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["m1"] == 500
+
+    @pytest.mark.parametrize("build", [caterpillar, sun])
+    def test_mult_both_routes_on_large_extremal_graphs(self, build, tmp_path, capsys):
+        # the default --method both ranks the whole order-1000 L - I exactly
+        g = build(250)
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        path = tmp_path / "g.g6"
+        path.write_text(to_graph6(g.relabel(perm)) + "\n")
+        t0 = time.perf_counter()
+        assert cli.main(["mult", "--file", str(path)]) == 0
+        assert time.perf_counter() - t0 < 5.0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["method"], out["m1"]) == ("both", 250)
 
     def test_mult_parse_failure_exit_2(self, capsys):
         assert cli.main(["mult", "--g6", "B\x07"]) == 2
