@@ -55,6 +55,7 @@ from .graphs import (
 )
 from .linalg import (
     IntMatrix,
+    SparseIntMatrix,
     adjacency,
     char_poly,
     eigen_multiplicity,

@@ -9,6 +9,7 @@ inconsistency (fast and exact engines disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,6 +263,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATIONS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lap1",

@@ -13,6 +13,13 @@ entry is at most a minor of the input in absolute value, the same
 Hadamard bound as Bareiss's dense elimination; L - I of a tree, a sun or
 a sparse random graph has about 3n nonzeros, and the work follows the
 fill-in instead of n^3.
+
+`rank` takes either of two forms: a dense `IntMatrix`, or a
+`SparseIntMatrix` whose rows hold only their nonzero entries.  The exact
+route builds L - I sparse straight from the adjacency lists, and the
+peeling builds its core sparse, so neither materialises an n x n matrix;
+`laplacian` and `IntMatrix` remain for the Berkowitz route and the
+`verify` checks.  `rank` copies what it is given and never changes it.
 """
 
 from __future__ import annotations
@@ -81,6 +88,20 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
 
+class SparseIntMatrix:
+    """Row-sparse integer matrix: row i is a dict {column: nonzero int}.
+
+    The dicts are the caller's; `rank` copies them and leaves them as
+    they are.  Zero entries must be left out."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, data: Iterable[dict[int, int]], cols: int):
+        self.data = tuple(data)
+        self.rows = len(self.data)
+        self.cols = cols
+
+
 def adjacency(g: Graph) -> IntMatrix:
     n = g.n
     a = [[0] * n for _ in range(n)]
@@ -100,18 +121,20 @@ def laplacian(g: Graph) -> IntMatrix:
     return IntMatrix(a, cols=n)
 
 
-def rank(m: IntMatrix) -> int:
+def rank(m: IntMatrix | SparseIntMatrix) -> int:
     """Exact rank over the rationals, by sparse fraction-free elimination.
 
-    Each row is a dict {column: nonzero int}, and each column keeps the
-    set of rows with an entry in it.  Pivoting follows Markowitz ("The
-    elimination form of the inverse and its application to linear
-    programming", Management Science 3, 1957): a shortest remaining row,
-    taken from a heap, in its entry whose column is shortest.  Only the
-    rows listed under the pivot column change, each to
-    ``a * row - b * pivot_row`` on the union of the two supports and then
-    divided by the gcd of its entries; the pivot row is dropped.  The rank
-    is the number of pivots.
+    The input is a dense `IntMatrix` or a `SparseIntMatrix`; only loading
+    the rows differs (a dense row keeps its nonzero entries, a sparse row
+    is copied), and the input is never changed.  Each row is a dict
+    {column: nonzero int}, and each column keeps the set of rows with an
+    entry in it.  Pivoting follows Markowitz ("The elimination form of
+    the inverse and its application to linear programming", Management
+    Science 3, 1957): a shortest remaining row, taken from a heap, in its
+    entry whose column is shortest.  Only the rows listed under the pivot
+    column change, each to ``a * row - b * pivot_row`` on the union of the
+    two supports and then divided by the gcd of its entries; the pivot
+    row is dropped.  The rank is the number of pivots.
 
     Why sizes stay bounded.  After pivots on the rows P and columns Q of
     the input M, the rows still stored are the rows of the Schur
@@ -128,8 +151,9 @@ def rank(m: IntMatrix) -> int:
     """
     rows: dict[int, dict[int, int]] = {}
     cols: defaultdict[int, set[int]] = defaultdict(set)
+    sparse = isinstance(m, SparseIntMatrix)
     for i, row in enumerate(m.data):
-        entries = dict(filter(itemgetter(1), enumerate(row)))
+        entries = dict(row) if sparse else dict(filter(itemgetter(1), enumerate(row)))
         if entries:
             rows[i] = entries
             for j in entries:
@@ -242,15 +266,29 @@ def eigen_multiplicity(m: IntMatrix, lam: int | Fraction) -> int:
     num, den = lam.numerator, lam.denominator
     shifted = []
     for i, row in enumerate(m.data):
-        if den != 1:
-            row = tuple(den * x for x in row)
-        shifted.append(row[:i] + (row[i] - num,) + row[i + 1:])
-    return m.rows - rank(IntMatrix(shifted, cols=m.cols))
+        entries = {j: den * x for j, x in enumerate(row) if x}
+        diagonal = entries.pop(i, 0) - num
+        if diagonal:
+            entries[i] = diagonal
+        shifted.append(entries)
+    return m.rows - rank(SparseIntMatrix(shifted, m.cols))
 
 
 def laplacian_multiplicity_one(g: Graph) -> int:
-    """Multiplicity of 1 as a Laplacian eigenvalue; the central quantity."""
-    return eigen_multiplicity(laplacian(g), 1)
+    """Multiplicity of 1 as a Laplacian eigenvalue; the central quantity.
+
+    It is the nullity of L - I, whose row v holds -1 on each neighbour
+    of v and deg(v) - 1 on the diagonal, left out when it is 0 (at a
+    leaf).  The rows are built sparse from the adjacency lists, about 3n
+    entries for a tree, and ranked by `rank`; no dense matrix is made."""
+    rows = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        row = dict.fromkeys(nbrs, -1)
+        if len(nbrs) != 1:
+            row[v] = len(nbrs) - 1
+        rows.append(row)
+    return g.n - rank(SparseIntMatrix(rows, g.n))
 
 
 def multiplicity_one_by_peeling(g: Graph) -> int:
@@ -271,8 +309,8 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
 
     What is left (the 2-core, or a subgraph of it) keeps -1 off the
     diagonal; each of its rows is scaled by its diagonal's denominator
-    and passed to `rank`.  Trees and suns leave no core and make no
-    `rank` call.
+    and passed to `rank` as a sparse row.  Trees and suns leave no core
+    and make no `rank` call.
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     d = [Fraction(len(nbrs) - 1) for nbrs in adj]
@@ -312,12 +350,11 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
     index = {v: i for i, v in enumerate(core)}
     rows = []
     for v in core:
-        row = [0] * len(core)
-        for w in adj[v]:
-            row[index[w]] = -d[v].denominator
-        row[index[v]] = d[v].numerator
+        row = dict.fromkeys((index[w] for w in adj[v]), -d[v].denominator)
+        if d[v]:
+            row[index[v]] = d[v].numerator
         rows.append(row)
-    return zeros + len(core) - rank(IntMatrix(rows, cols=len(core)))
+    return zeros + len(core) - rank(SparseIntMatrix(rows, len(core)))
 
 
 def internal_submatrix(g: Graph) -> IntMatrix:

@@ -24,6 +24,7 @@ from lap1.graphs import (
 )
 from lap1.linalg import (
     IntMatrix,
+    SparseIntMatrix,
     adjacency,
     char_poly,
     eigen_multiplicity,
@@ -102,7 +103,12 @@ class TestRank:
              for _ in range(c)]
             for _ in range(r)
         ]
-        assert rank(IntMatrix(rows)) == fraction_rank(rows)
+        expected = fraction_rank(rows)
+        assert rank(IntMatrix(rows)) == expected
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        before = [dict(row) for row in sparse]
+        assert rank(SparseIntMatrix(sparse, c)) == expected
+        assert sparse == before
 
     def test_products_of_thin_factors(self):
         rng = random.Random(31)
@@ -139,13 +145,20 @@ class TestRank:
         for n in (2, 10, 30, 60):
             seq = tuple(rng.randrange(n) for _ in range(n - 2))
             graphs.append(Graph(n, oracles.prufer_to_edges(seq)))
+        # no rows at all, isolated vertices, and leaves, whose diagonal
+        # deg - 1 is zero
+        graphs += [Graph(0), Graph(1), Graph(5), path_graph(2),
+                   disjoint_union(path_graph(2), disjoint_union(sun(4), Graph(3)))]
         for g in graphs:
             perm = list(range(g.n))
             rng.shuffle(perm)
-            lap = laplacian(g.relabel(perm)).data
+            h = g.relabel(perm)
+            lap = laplacian(h).data
             rows = [[x - (i == j) for j, x in enumerate(row)]
                     for i, row in enumerate(lap)]
-            assert rank(IntMatrix(rows)) == fraction_rank(rows)
+            expected = fraction_rank(rows)
+            assert rank(IntMatrix(rows)) == expected
+            assert laplacian_multiplicity_one(h) == g.n - expected
 
     def test_dense_full_rank_entries_stay_small(self):
         # without dividing each updated row by the gcd of its entries the

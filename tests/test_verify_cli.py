@@ -125,10 +125,18 @@ class TestCli:
         assert cli.main(["mult", "--method", "fast", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["m1"] == 500
 
-    @pytest.mark.parametrize("build", [caterpillar, sun])
-    def test_mult_both_routes_on_large_extremal_graphs(self, build, tmp_path, capsys):
-        # the default --method both ranks the whole order-1000 L - I exactly
-        g = build(250)
+    @pytest.mark.parametrize("build, k", [
+        pytest.param(caterpillar, 250, id="caterpillar"),
+        pytest.param(sun, 250, id="sun"),
+        pytest.param(caterpillar, 2500, id="caterpillar-2500"),
+        pytest.param(sun, 2500, id="sun-2500"),
+    ])
+    def test_mult_both_routes_on_large_extremal_graphs(
+        self, build, k, tmp_path, capsys
+    ):
+        # the default --method both ranks the whole L - I exactly, at
+        # orders 1000 and 10^4
+        g = build(k)
         perm = list(range(g.n))
         random.Random(g.n).shuffle(perm)
         path = tmp_path / "g.g6"
@@ -137,7 +145,7 @@ class TestCli:
         assert cli.main(["mult", "--file", str(path)]) == 0
         assert time.perf_counter() - t0 < 5.0
         out = json.loads(capsys.readouterr().out)
-        assert (out["method"], out["m1"]) == ("both", 250)
+        assert (out["method"], out["m1"]) == ("both", k)
 
     def test_mult_parse_failure_exit_2(self, capsys):
         assert cli.main(["mult", "--g6", "B\x07"]) == 2
@@ -225,6 +233,14 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert out.endswith("m=1")
 
+    @pytest.mark.parametrize("cls, n", [("tree", 10006), ("unicyclic", 10000)])
+    def test_extremal_at_order_ten_thousand(self, cls, n, capsys):
+        # the construction checks its own multiplicity on the exact route
+        t0 = time.perf_counter()
+        assert cli.main(["extremal", "--class", cls, "--n", str(n)]) == 0
+        assert time.perf_counter() - t0 < 5.0
+        assert capsys.readouterr().out.strip().endswith(" m=2500")
+
     def test_extremal_bad_order(self, capsys):
         assert cli.main(["extremal", "--class", "tree", "--n", "9"]) == 2
 
@@ -293,6 +309,23 @@ class TestCli:
         assert report["suite"] == "thm2" and report["graphs_checked"] == 7
         err = capsys.readouterr().err
         assert "suite thm2" in err
+
+    def test_calls_in_one_process_behave_as_in_fresh_ones(self, capsys):
+        # the parser is built once per process: neither a usage error nor
+        # an earlier call's options may carry over to the next call
+        assert cli.main(["mult", "--g6", "Bw", "--method", "slow"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert cli.main(["mult", "--g6", "Bw", "--method", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == "exact" and "trace" not in out
+        assert cli.main(["mult", "--g6", "Bw"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == "both" and out["trace"]["total"] == out["m1"]
+        assert cli.main(["verify", "thm2", "--max-n", "9"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["suite"] == "thm2" and report["graphs_checked"] == 7
+        assert report["violations"] == [] and "suite thm2" in captured.err
 
     def test_verify_cli_exit_1_on_violation(self, capsys, monkeypatch):
         real_rank = linalg.rank
