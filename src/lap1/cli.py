@@ -34,12 +34,11 @@ from .reduction import (
     ReductionStep,
     ReductionTrace,
     PENDANT_CLUSTER,
-    REDUCTION_OPERATION,
+    final_reduction_graph,
     multiplicity_fast,
     reduced_graph,
-    reduction_operation,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -150,41 +149,16 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     input_g6 = to_graph6(g)
-    steps: list[ReductionStep] = []
-    if args.to == "reduced":
-        result, offset = reduced_graph(g)
-        if offset:
-            steps.append(
-                ReductionStep(
-                    PENDANT_CLUSTER, canonical_form(g), canonical_form(result), offset
-                )
-            )
-    else:
-        result = g
+    if args.to == "final":
+        result, steps = final_reduction_graph(g)
         offset = 0
-        form = None  # canonical form of result, once a step needs it
-        while True:
-            prof = pendant_profile(result)
-            target = next(
-                (v for v in prof.quasi_pendants if result.degree(v) > 2), None
-            )
-            if target is None:
-                break
-            u = min(
-                w for w in result.neighbors(target) if result.degree(w) == 1
-            )
-            nxt = reduction_operation(result, u, target)
-            nxt_form = canonical_form(nxt)
-            steps.append(
-                ReductionStep(
-                    REDUCTION_OPERATION,
-                    form or canonical_form(result),
-                    nxt_form,
-                    0,
-                )
-            )
-            result, form = nxt, nxt_form
-    trace = ReductionTrace(input_g6, tuple(steps), offset)
+    else:
+        result, offset = reduced_graph(g)
+        steps = ()
+        if offset:
+            before, after = canonical_form(g), canonical_form(result)
+            steps = (ReductionStep(PENDANT_CLUSTER, before, after, offset),)
+    trace = ReductionTrace(input_g6, steps, offset)
     _emit(
         {
             "input_g6": input_g6,
@@ -303,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_extremal)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("thm1", "thm2", "thm3", "lemmas", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

@@ -142,11 +142,12 @@ def reduction_operation(g: Graph, u: int, v: int) -> Graph:
     return Graph(nxt, edges)
 
 
-def final_reduction_graph(g: Graph) -> Graph:
+def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     """Apply the reduction operation until no quasi-pendant vertex has
-    degree greater than 2.  Each application removes one such vertex and
-    creates only degree-2 quasi-pendants, so this terminates within q(g)
-    steps."""
+    degree greater than 2, with one ReductionOperation step per
+    application.  Each application removes one such vertex and creates
+    only degree-2 quasi-pendants, so this terminates within q(g) steps."""
+    steps: list[ReductionStep] = []
     cur = g
     while True:
         prof = pendant_profile(cur)
@@ -154,9 +155,11 @@ def final_reduction_graph(g: Graph) -> Graph:
             (v for v in prof.quasi_pendants if cur.degree(v) > 2), None
         )
         if target is None:
-            return cur
+            return cur, tuple(steps)
         u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
+        before = steps[-1].after if steps else canonical_form(cur)
         cur = reduction_operation(cur, u, target)
+        steps.append(ReductionStep(REDUCTION_OPERATION, before, canonical_form(cur), 0))
 
 
 def _check_pendant_p3(g: Graph, path: PathLocation) -> None:

@@ -1,6 +1,12 @@
 """Verification suites: the theorems and lemma sweeps as runnable,
 reportable checks.
 
+A suite is one row of `_TABLE`: lowest order, default `max_n`, graph
+source, per-graph check and aggregate check.  One engine, `_run`, maps
+the check over the source's graphs (in worker processes when jobs > 1,
+so checks are module-level), hands every (graph6, n, m) triple to the
+aggregate check, and builds the report.
+
 Every per-graph check also cross-validates three multiplicity routes
 (exact rank, Berkowitz characteristic polynomial, reduction pipeline), so
 a defect in any one engine surfaces as a "cross-oracle" violation.
@@ -8,9 +14,11 @@ a defect in any one engine surfaces as a "cross-oracle" violation.
 
 from __future__ import annotations
 
+import os
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,6 +36,7 @@ from .extremal import extremal_tree, extremal_unicyclic
 from .graph6 import parse_graph6, to_graph6
 from .graphs import (
     Graph,
+    PendantProfile,
     cycle_graph,
     double_star_like_tree,
     find_internal_paths,
@@ -57,10 +66,6 @@ from .reduction import (
     reduction_operation,
 )
 
-SUITES = ("thm1", "thm2", "thm3", "lemmas")
-
-DEFAULT_MAX_N = {"thm1": 12, "thm2": 14, "thm3": 13, "lemmas": 10}
-
 
 @dataclass
 class VerificationReport:
@@ -76,14 +81,7 @@ class VerificationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_range": list(self.n_range),
-            "graphs_checked": self.graphs_checked,
-            "violations": self.violations,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "n_range": list(self.n_range)}
 
     def summary(self) -> str:
         status = "ok" if self.passed else f"{len(self.violations)} violations"
@@ -135,35 +133,53 @@ def _cross_oracle(g: Graph, g6: str) -> tuple[int, list[dict]]:
     ]
 
 
-def _sort_violations(violations: list[dict]) -> list[dict]:
-    violations.sort(
-        key=lambda v: (v["rule"], v["graph6"], v["expected"], v["actual"])
-    )
-    return violations
-
-
 def _map_graphs(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 4:
+    # Workers fork at the first submit: no more than CPUs or items.
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1 or len(items) < 4:
         return [fn(it) for it in items]
     # Imported here: multiprocessing is about a tenth of every CLI
     # call's start-up, and only --jobs > 1 needs it.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 8))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-# -- thm1: m = p - q + m(reduced) ------------------------------------------
+# -- graph sources ----------------------------------------------------------
 
-def _check_thm1(g6: str) -> list[dict]:
-    g = parse_graph6(g6)
-    me, viol = _cross_oracle(g, g6)
-    prof = pendant_profile(g)
-    gbar, offset = reduced_graph(g)
-    rhs = offset + _m1_exact(gbar)
-    if me != rhs:
-        viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
+def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    for n in range(1, min(max_n, MAX_TREE_N) + 1):
+        yield from free_trees(n)
+    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
+        yield from unicyclic_graphs(n)
+
+
+def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    yield from _trees_and_unicyclic(max_n, seed, n_random)
+    rng = random.Random(seed)
+    for _ in range(n_random):
+        n = rng.randint(1, max_n)
+        prob = Fraction(rng.randint(1, 3), 4)
+        yield random_connected_graph(n, prob, rng.randrange(2**32))
+
+
+def _class_T(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    for n in range(6, min(max_n, MAX_TREE_N) + 1):
+        yield from trees_in_class_T(n)
+
+
+def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
+        yield from unicyclic_in_class_G(n)
+
+
+# -- per-graph checks ------------------------------------------------------
+
+def _faria_eq2(g: Graph, g6: str, me: int, prof: PendantProfile) -> list[dict]:
+    """Faria's bound m >= p - q and equation (2), m = p - q + m_N."""
+    viol = []
     if me < prof.p - prof.q:
         viol.append(_violation(g6, f"m >= p-q = {prof.p - prof.q}", me, "faria"))
     m_inner = eigen_multiplicity(internal_submatrix(g), 1)
@@ -174,156 +190,27 @@ def _check_thm1(g6: str) -> list[dict]:
     return viol
 
 
-def verify_thm1(
-    max_n: int = 12, seed: int = 0, n_random: int = 1000, jobs: int = 1
-) -> VerificationReport:
-    """Reduction identity over all trees and unicyclic graphs up to max_n
-    plus seeded random connected graphs."""
-    t0 = time.monotonic()
-    g6s: list[str] = []
-    for n in range(1, min(max_n, MAX_TREE_N) + 1):
-        g6s.extend(to_graph6(t) for t in free_trees(n))
-    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
-        g6s.extend(to_graph6(u) for u in unicyclic_graphs(n))
-    rng = random.Random(seed)
-    for _ in range(n_random):
-        n = rng.randint(1, max_n)
-        prob = Fraction(rng.randint(1, 3), 4)
-        g = random_connected_graph(n, prob, rng.randrange(2**32))
-        g6s.append(to_graph6(g))
-    violations: list[dict] = []
-    for batch in _map_graphs(_check_thm1, g6s, jobs):
-        violations.extend(batch)
-    return VerificationReport(
-        "thm1",
-        (1, max_n),
-        len(g6s),
-        _sort_violations(violations),
-        int((time.monotonic() - t0) * 1000),
-        seed,
-    )
+def _check_oracles(g6: str) -> tuple[int, list[dict]]:
+    return _cross_oracle(parse_graph6(g6), g6)
 
 
-# -- thm2: tree bound and extremal uniqueness -------------------------------
-
-def _check_thm2(item: tuple[str, int]) -> tuple[list[dict], int]:
-    g6, n = item
+def _check_thm1(g6: str) -> tuple[int, list[dict]]:
     g = parse_graph6(g6)
     me, viol = _cross_oracle(g, g6)
-    if 4 * me > n - 6:
-        viol.append(_violation(g6, f"m <= (n-6)/4 = {(n - 6) / 4}", me, "thm2-bound"))
-    return viol, me
+    viol += _faria_eq2(g, g6, me, pendant_profile(g))
+    gbar, offset = reduced_graph(g)
+    rhs = offset + _m1_exact(gbar)
+    if me != rhs:
+        viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
+    return me, viol
 
 
-def verify_thm2(max_n: int = 14, jobs: int = 1) -> VerificationReport:
-    """Tree bound m <= (n-6)/4 over the reduced no-pendant-P3 class, with
-    the small-order census and extremal uniqueness checks."""
-    t0 = time.monotonic()
-    items: list[tuple[str, int]] = []
-    for n in range(6, min(max_n, MAX_TREE_N) + 1):
-        items.extend((to_graph6(t), n) for t in trees_in_class_T(n))
-    results = _map_graphs(_check_thm2, items, jobs)
-    violations: list[dict] = []
-    mult: dict[str, int] = {}
-    for (g6, n), (viol, me) in zip(items, results):
-        violations.extend(viol)
-        mult[g6] = me
-    if max_n >= 9:
-        small = [(g6, n) for g6, n in items if n <= 9]
-        if len(small) != 7:
-            violations.append(
-                _violation("", "7 trees in classes 6..9", len(small), "thm2-census")
-            )
-        for g6, n in small:
-            if mult[g6] != 0:
-                violations.append(
-                    _violation(g6, "m=0 for n<=9", mult[g6], "thm2-census")
-                )
-    for n in range(6, min(max_n, MAX_TREE_N) + 1):
-        hits = [g6 for g6, nn in items if nn == n and 4 * mult[g6] == n - 6]
-        if n % 4 == 2:
-            want = canonical_form(extremal_tree(n))
-            if hits != [want]:
-                violations.append(
-                    _violation(
-                        ";".join(hits), f"unique extremal {want}", hits, "thm2-extremal"
-                    )
-                )
-        elif hits:
-            violations.append(
-                _violation(";".join(hits), "no extremal class", hits, "thm2-extremal")
-            )
-    return VerificationReport(
-        "thm2",
-        (6, max_n),
-        len(items),
-        _sort_violations(violations),
-        int((time.monotonic() - t0) * 1000),
-    )
-
-
-# -- thm3: unicyclic bound and extremal uniqueness --------------------------
-
-def _check_thm3(item: tuple[str, int]) -> tuple[list[dict], int]:
-    g6, n = item
-    g = parse_graph6(g6)
-    me, viol = _cross_oracle(g, g6)
-    if n >= 10 and 4 * me > n:
-        viol.append(_violation(g6, f"m <= n/4 = {n / 4}", me, "thm3-bound"))
-    return viol, me
-
-
-def verify_thm3(max_n: int = 13, jobs: int = 1) -> VerificationReport:
-    """Unicyclic bound m <= n/4 for n >= 10 over the reduced
-    no-pendant-P3 class, informational sweep below 10, and extremal
-    uniqueness at n = 12."""
-    t0 = time.monotonic()
-    items: list[tuple[str, int]] = []
-    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
-        items.extend((to_graph6(u), n) for u in unicyclic_in_class_G(n))
-    results = _map_graphs(_check_thm3, items, jobs)
-    violations: list[dict] = []
-    mult: dict[str, int] = {}
-    for (g6, n), (viol, me) in zip(items, results):
-        violations.extend(viol)
-        mult[g6] = me
-    for n in range(10, min(max_n, MAX_UNICYCLIC_N) + 1):
-        hits = [g6 for g6, nn in items if nn == n and 4 * mult[g6] == n]
-        if n % 4 == 0:
-            want = canonical_form(extremal_unicyclic(n))
-            if hits != [want]:
-                violations.append(
-                    _violation(
-                        ";".join(hits), f"unique extremal {want}", hits, "thm3-extremal"
-                    )
-                )
-        elif hits:
-            violations.append(
-                _violation(";".join(hits), "no extremal class", hits, "thm3-extremal")
-            )
-    return VerificationReport(
-        "thm3",
-        (3, max_n),
-        len(items),
-        _sort_violations(violations),
-        int((time.monotonic() - t0) * 1000),
-    )
-
-
-# -- lemmas ------------------------------------------------------------------
-
-def _check_lemmas(g6: str) -> list[dict]:
+def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
     g = parse_graph6(g6)
     me, viol = _cross_oracle(g, g6)
     prof = pendant_profile(g)
+    viol += _faria_eq2(g, g6, me, prof)
 
-    if me < prof.p - prof.q:
-        viol.append(_violation(g6, f"m >= p-q = {prof.p - prof.q}", me, "faria"))
-    m_inner = eigen_multiplicity(internal_submatrix(g), 1)
-    if me != prof.p - prof.q + m_inner:
-        viol.append(
-            _violation(g6, f"p-q+m_N = {prof.p - prof.q + m_inner}", me, "eq2")
-        )
     for u, v in g.sorted_edges():
         md = _m1_exact(g.remove_edge(u, v))
         if not md - 1 <= me <= md + 1:
@@ -343,14 +230,9 @@ def _check_lemmas(g6: str) -> list[dict]:
                         _violation(g6, f"m_{lam} <= p-1 = {prof.p - 1}", mult, "eq1")
                     )
                 if lam > 1 and (g.n % lam != 0 or mult != 1):
-                    viol.append(
-                        _violation(
-                            g6,
-                            f"integer eigenvalue {lam} divides n with mult 1",
-                            f"n={g.n} mult={mult}",
-                            "gms",
-                        )
-                    )
+                    expected = f"integer eigenvalue {lam} divides n with mult 1"
+                    actual = f"n={g.n} mult={mult}"
+                    viol.append(_violation(g6, expected, actual, "gms"))
         for path in find_pendant_paths(g, 3):
             md = _m1_exact(delete_pendant_P3(g, path))
             if md != me:
@@ -385,53 +267,154 @@ def _check_lemmas(g6: str) -> list[dict]:
             mh = eigen_multiplicity(adjacency(contract_line_P4(g, path)), -1)
             if mh != ma:
                 viol.append(_violation(g6, ma, mh, "innerpath"))
+    return me, viol
+
+
+# -- aggregate checks -------------------------------------------------------
+
+Results = list[tuple[str, int, int]]  # (graph6, n, m) per graph checked
+
+
+def _bound(results: Results, name: str, orders: range, shift: int, build) -> list[dict]:
+    """The bound 4m <= n - shift at every order in orders, attained at
+    order n by exactly the canonical form of build(n) when 4 divides
+    n - shift, and by no graph otherwise."""
+    bound = f"(n-{shift})/4" if shift else "n/4"
+    viol = [
+        _violation(g6, f"m <= {bound} = {(n - shift) / 4}", m, f"{name}-bound")
+        for g6, n, m in results
+        if n in orders and 4 * m > n - shift
+    ]
+    for n in orders:
+        hits = [g6 for g6, order, m in results if order == n and 4 * m == n - shift]
+        want = [canonical_form(build(n))] if (n - shift) % 4 == 0 else []
+        if hits != want:
+            expected = f"unique extremal {want[0]}" if want else "no extremal class"
+            viol.append(_violation(";".join(hits), expected, hits, f"{name}-extremal"))
     return viol
 
 
-def verify_lemmas(max_n: int = 10, jobs: int = 1) -> VerificationReport:
-    """Lemma sweep over all enumerated trees and unicyclic graphs up to
-    max_n, plus star-like constructions and the cycle closed form."""
-    t0 = time.monotonic()
-    g6s: list[str] = []
-    for n in range(1, min(max_n, MAX_TREE_N) + 1):
-        g6s.extend(to_graph6(t) for t in free_trees(n))
-    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
-        g6s.extend(to_graph6(u) for u in unicyclic_graphs(n))
-    violations: list[dict] = []
-    for batch in _map_graphs(_check_lemmas, g6s, jobs):
-        violations.extend(batch)
-    extra = 0
-    for s in range(2, 7):
-        t = star_like_tree(s)
-        extra += 1
-        if _m1_exact(t) != 0:
-            violations.append(
-                _violation(to_graph6(t), 0, _m1_exact(t), "starlike")
+def _thm2_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+    """The tree bound, the census of the seven class members of order
+    6..9 (all m = 0), and the caterpillar as the unique extremal tree."""
+    viol = []
+    if max_n >= 9:
+        small = [(g6, m) for g6, n, m in results if n <= 9]
+        if len(small) != 7:
+            viol.append(
+                _violation("", "7 trees in classes 6..9", len(small), "thm2-census")
             )
-        for tt in range(s, 7):
-            h = double_star_like_tree(s, tt)
-            extra += 1
-            if _m1_exact(h) != 0:
-                violations.append(
-                    _violation(to_graph6(h), 0, _m1_exact(h), "starlike")
-                )
-    for n in range(3, 31):
+        for g6, m in small:
+            if m != 0:
+                viol.append(_violation(g6, "m=0 for n<=9", m, "thm2-census"))
+    orders = range(6, min(max_n, MAX_TREE_N) + 1)
+    return 0, viol + _bound(results, "thm2", orders, 6, extremal_tree)
+
+
+def _thm3_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+    """The unicyclic bound from order 10 on, and the sun as the unique
+    extremal unicyclic graph."""
+    orders = range(10, min(max_n, MAX_UNICYCLIC_N) + 1)
+    return 0, _bound(results, "thm3", orders, 0, extremal_unicyclic)
+
+
+def _lemmas_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+    """Star-like and double star-like trees have m = 0, and cycles
+    C_3..C_30 follow the closed form."""
+    viol = []
+    trees = [star_like_tree(s) for s in range(2, 7)]
+    trees += [double_star_like_tree(s, t) for s in range(2, 7) for t in range(s, 7)]
+    for t in trees:
+        m = _m1_exact(t)
+        if m != 0:
+            viol.append(_violation(to_graph6(t), 0, m, "starlike"))
+    cycles = range(3, 31)
+    for n in cycles:
         c = cycle_graph(n)
-        extra += 1
         want = cycle_multiplicity_one(n)
         got, cross = _cross_oracle(c, to_graph6(c))
-        violations.extend(cross)
+        viol += cross
         if got != want:
-            violations.append(
-                _violation(to_graph6(c), want, got, "cycle-closed-form")
-            )
-    return VerificationReport(
-        "lemmas",
-        (1, max_n),
-        len(g6s) + extra,
-        _sort_violations(violations),
-        int((time.monotonic() - t0) * 1000),
+            viol.append(_violation(to_graph6(c), want, got, "cycle-closed-form"))
+    return len(trees) + len(cycles), viol
+
+
+# -- the suite table and its engine -----------------------------------------
+
+@dataclass(frozen=True)
+class Suite:
+    name: str
+    lo: int  # lowest order checked; n_range starts here
+    max_n: int  # default highest order
+    graphs: Callable[[int, int, int], Iterator[Graph]]  # (max_n, seed, n_random)
+    check: Callable[[str], tuple[int, list[dict]]]  # graph6 -> (m, violations)
+    # (results, max_n) -> (graphs checked beyond the source's, violations)
+    aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
+    seeded: bool = False  # the source draws random graphs from the seed
+
+
+_TABLE = {
+    s.name: s
+    for s in (
+        Suite("thm1", 1, 12, _thm1_graphs, _check_thm1, seeded=True),
+        Suite("thm2", 6, 14, _class_T, _check_oracles, _thm2_aggregate),
+        Suite("thm3", 3, 13, _class_G, _check_oracles, _thm3_aggregate),
+        Suite("lemmas", 1, 10, _trees_and_unicyclic, _check_lemmas,
+              _lemmas_aggregate),
     )
+}
+
+SUITES = tuple(_TABLE)
+
+DEFAULT_MAX_N = {name: s.max_n for name, s in _TABLE.items()}
+
+
+def _run(
+    suite: Suite, max_n: int | None, seed: int = 0, n_random: int = 0, jobs: int = 1
+) -> VerificationReport:
+    t0 = time.monotonic()
+    max_n = max(suite.max_n if max_n is None else max_n, suite.lo)
+    graphs = [(to_graph6(g), g.n) for g in suite.graphs(max_n, seed, n_random)]
+    results = _map_graphs(suite.check, [g6 for g6, _ in graphs], jobs)
+    violations = [v for _, viol in results for v in viol]
+    extra = 0
+    if suite.aggregate is not None:
+        triples = [(g6, n, m) for (g6, n), (m, _) in zip(graphs, results)]
+        extra, more = suite.aggregate(triples, max_n)
+        violations += more
+    violations.sort(
+        key=lambda v: (v["rule"], v["graph6"], v["expected"], v["actual"])
+    )
+    return VerificationReport(
+        suite.name,
+        (suite.lo, max_n),
+        len(graphs) + extra,
+        violations,
+        int((time.monotonic() - t0) * 1000),
+        seed if suite.seeded else None,
+    )
+
+
+def verify_thm1(
+    max_n: int | None = None, seed: int = 0, n_random: int = 1000, jobs: int = 1
+) -> VerificationReport:
+    """m = p - q + m(reduced) on trees, unicyclic and seeded random graphs."""
+    return _run(_TABLE["thm1"], max_n, seed, n_random, jobs)
+
+
+def verify_thm2(max_n: int | None = None, jobs: int = 1) -> VerificationReport:
+    """The tree bound 4m <= n - 6, its census and its unique extremal tree."""
+    return _run(_TABLE["thm2"], max_n, jobs=jobs)
+
+
+def verify_thm3(max_n: int | None = None, jobs: int = 1) -> VerificationReport:
+    """The unicyclic bound 4m <= n from n = 10 and its unique extremal sun."""
+    return _run(_TABLE["thm3"], max_n, jobs=jobs)
+
+
+def verify_lemmas(max_n: int | None = None, jobs: int = 1) -> VerificationReport:
+    """The lemma sweep, star-like zeros and the cycle closed form."""
+    return _run(_TABLE["lemmas"], max_n, jobs=jobs)
 
 
 def run_suite(
@@ -441,21 +424,9 @@ def run_suite(
     jobs: int = 1,
     n_random: int = 1000,
 ) -> list[VerificationReport]:
-    """Run one named suite (or all four); returns one report per suite."""
-    if suite != "all" and suite not in SUITES:
+    """Run one named suite (or all four); returns one report per suite.
+    max_n defaults per suite and is raised to the suite's lowest order."""
+    if suite != "all" and suite not in _TABLE:
         raise ValueError(f"unknown suite {suite!r}")
-    names = list(SUITES) if suite == "all" else [suite]
-    reports = []
-    for name in names:
-        n_cap = max_n if max_n is not None else DEFAULT_MAX_N[name]
-        if name == "thm1":
-            reports.append(verify_thm1(n_cap, seed=seed, n_random=n_random, jobs=jobs))
-        elif name == "thm2":
-            reports.append(verify_thm2(max(n_cap, 6), jobs=jobs))
-        elif name == "thm3":
-            reports.append(verify_thm3(max(n_cap, 3), jobs=jobs))
-        elif name == "lemmas":
-            reports.append(verify_lemmas(n_cap, jobs=jobs))
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
-    return reports
+    rows = _TABLE.values() if suite == "all" else [_TABLE[suite]]
+    return [_run(s, max_n, seed, n_random, jobs) for s in rows]

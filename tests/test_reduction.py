@@ -114,12 +114,12 @@ class TestReductionOperation:
 
 class TestFinalReduction:
     def test_fixed_points(self):
-        assert final_reduction_graph(path_graph(6)) == path_graph(6)
+        assert final_reduction_graph(path_graph(6)) == (path_graph(6), ())
         # star-like spider: its quasi-pendants all have degree 2 already
-        assert final_reduction_graph(spider([2, 2, 2])) == spider([2, 2, 2])
+        assert final_reduction_graph(spider([2, 2, 2])) == (spider([2, 2, 2]), ())
 
     def test_spider_221(self):
-        fr = final_reduction_graph(spider([2, 2, 1]))
+        fr, _ = final_reduction_graph(spider([2, 2, 1]))
         assert iso(fr, disjoint_union(path_graph(4), path_graph(4)))
         assert m1(fr) == m1(spider([2, 2, 1])) == 0
 
@@ -127,7 +127,7 @@ class TestFinalReduction:
         # spider(4,4,1) is reduced with m = (n-2)/4 = 2; its final
         # reduction must split into P_6 components
         sp = spider([4, 4, 1])
-        fr = final_reduction_graph(sp)
+        fr, _ = final_reduction_graph(sp)
         assert iso(fr, disjoint_union(path_graph(6), path_graph(6)))
         assert m1(sp) == 2 == m1(fr)
 
@@ -136,28 +136,21 @@ class TestFinalReduction:
         for n in range(4, 9):
             graphs.extend(free_trees(n))
         for g in graphs:
-            fr = final_reduction_graph(g)
+            fr, _ = final_reduction_graph(g)
             prof = pendant_profile(fr)
             assert all(fr.degree(v) <= 2 for v in prof.quasi_pendants)
             assert m1(fr) == m1(g)
 
     def test_terminates_within_q_steps(self):
         for g in [spider([3, 2, 2, 1]), star_graph(6), spider([2, 2, 2, 1, 1])]:
-            bound = pendant_profile(g).q
-            steps = 0
-            cur = g
-            while True:
-                prof = pendant_profile(cur)
-                target = next(
-                    (v for v in prof.quasi_pendants if cur.degree(v) > 2), None
-                )
-                if target is None:
-                    break
-                u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
-                cur = reduction_operation(cur, u, target)
-                steps += 1
-                assert steps <= bound
-            assert cur == final_reduction_graph(g)
+            fr, steps = final_reduction_graph(g)
+            assert 0 < len(steps) <= pendant_profile(g).q
+            # each step starts from the graph the previous one produced
+            chain = [canonical_form(g)] + [s.after for s in steps]
+            assert [s.before for s in steps] == chain[:-1]
+            assert chain[-1] == canonical_form(fr)
+            assert all(s.rule == "ReductionOperation" and s.offset == 0
+                       for s in steps)
 
 
 class TestDeletePendantP3:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
 import lap1.cli as cli
 import lap1.linalg as linalg
+import lap1.verify as verify
 from lap1.canon import canonical_form
 from lap1.graph6 import parse_graph6, to_graph6, write_edge_list
 from lap1.graphs import Graph, path_graph, star_graph
@@ -73,14 +75,81 @@ class TestSuites:
         b = verify_thm1(max_n=7, seed=4, n_random=10, jobs=2)
         assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
 
-    def test_run_suite_all(self):
-        reports = run_suite("all", max_n=7, n_random=10)
+    @pytest.mark.parametrize("max_n", [1, 5, 7])
+    def test_run_suite_all(self, max_n):
+        reports = run_suite("all", max_n=max_n, n_random=10)
         assert [r.suite for r in reports] == ["thm1", "thm2", "thm3", "lemmas"]
         assert all(r.passed for r in reports)
+        lows = {"thm1": 1, "thm2": 6, "thm3": 3, "lemmas": 1}
+        for r in reports:
+            lo = lows[r.suite]
+            assert r.n_range == (lo, max(max_n, lo))
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        # workers fork at the first submit, so --jobs 10000 must not
+        # ask for 10000 of them; the fake pool maps in this process
+        import concurrent.futures
+
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        serial = verify_thm1(max_n=6, n_random=20, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        wide = verify_thm1(max_n=6, n_random=20, jobs=10_000)
+        assert requested == [3]
+        assert strip_runtime(wide.to_json()) == strip_runtime(serial.to_json())
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("thm9")
+
+    # m + 1 on every order divisible by 3 breaks the rank route only, so
+    # besides the cross-oracle it must light up every aggregate rule: the
+    # thm2 census and extremal checks, thm3's extremal check, and the
+    # lemmas' star-like and cycle closed-form extras.
+    @pytest.mark.parametrize("entry, kwargs, graphs, rules", [
+        pytest.param(verify_thm1, dict(max_n=6, n_random=10, seed=1), 45,
+                     {"cross-oracle": 26, "eq2": 26, "thm1-identity": 12},
+                     id="thm1"),
+        pytest.param(verify_thm2, dict(max_n=10), 13,
+                     {"cross-oracle": 4, "thm2-bound": 4, "thm2-census": 4,
+                      "thm2-extremal": 1}, id="thm2"),
+        pytest.param(verify_thm3, dict(max_n=12), 1086,
+                     {"cross-oracle": 650, "thm3-bound": 1,
+                      "thm3-extremal": 1}, id="thm3"),
+        pytest.param(verify_lemmas, dict(max_n=6), 83,
+                     {"cross-oracle": 31, "cycle-closed-form": 10, "eq2": 21,
+                      "eqlemma": 7, "mainlemma": 102, "reduction-op": 37,
+                      "starlike": 6}, id="lemmas"),
+    ])
+    def test_mutation_fires_aggregate_rules(
+        self, monkeypatch, entry, kwargs, graphs, rules
+    ):
+        real_m1 = verify._m1_exact
+        clear_caches()
+        monkeypatch.setattr(
+            verify, "_m1_exact", lambda g: real_m1(g) + (g.n % 3 == 0)
+        )
+        try:
+            r = entry(**kwargs)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert r.graphs_checked == graphs
+        assert Counter(v["rule"] for v in r.violations) == rules
 
     def test_mutation_in_rank_is_caught(self, monkeypatch):
         # an off-by-one rank breaks the rank route but not the Berkowitz
