@@ -1,8 +1,10 @@
 """Constructors for the equality-attaining families of the two bounds.
 
 The source figures for these families are not recoverable, so the shapes
-were reconstructed from exhaustive sweeps and are re-verified against the
-exact engine every time an instance is built:
+were reconstructed from exhaustive sweeps, and `extremal_tree` and
+`extremal_unicyclic` re-verify every instance they build against the exact
+engine.  The `*_unverified` builders make the same graphs without that
+check, for callers that check the multiplicity themselves:
 
 * extremal tree (order n = 4k + 6, multiplicity k): a caterpillar with
   spine P_{3k+5} and one pendant on every third spine vertex starting at
@@ -61,19 +63,24 @@ def _verified(g: Graph, expected_m: int) -> Graph:
     return g
 
 
-def extremal_tree(n: int) -> Graph:
-    """The unique tree of its class attaining multiplicity (n - 6) / 4.
+def extremal_tree_unverified(n: int) -> Graph:
+    """The caterpillar of `extremal_tree`, built without re-checking it.
 
     Spine vertices are 0..3k+4 in path order; pendant j (vertex 3k+5+j)
     hangs on spine vertex 3j+2.  The first gadget is vertices
     {0, 1, 2, 3k+5}: deleting it leaves the extremal tree of order n-4.
     """
-    spec = ExtremalSpec("tree", n)
-    k = spec.k
+    k = ExtremalSpec("tree", n).k
     spine = 3 * k + 5
     edges = [(i, i + 1) for i in range(spine - 1)]
     edges += [(3 * j + 2, spine + j) for j in range(k + 1)]
-    return _verified(Graph(n, edges), k)
+    return Graph(n, edges)
+
+
+def extremal_tree(n: int) -> Graph:
+    """The unique tree of its class attaining multiplicity (n - 6) / 4,
+    re-verified against the exact engine."""
+    return _verified(extremal_tree_unverified(n), ExtremalSpec("tree", n).k)
 
 
 def tree_gadget_vertices(n: int) -> tuple[int, ...]:
@@ -85,14 +92,20 @@ def tree_gadget_vertices(n: int) -> tuple[int, ...]:
     return (0, 1, 2, 3 * spec.k + 5)
 
 
-def extremal_unicyclic(n: int) -> Graph:
-    """The sun: cycle C_{3k} (vertices 0..3k-1 in cycle order) with
-    pendant 3k+j on cycle vertex 3j; attains multiplicity n / 4."""
-    spec = ExtremalSpec("unicyclic", n)
-    k = spec.k
+def extremal_unicyclic_unverified(n: int) -> Graph:
+    """The sun of `extremal_unicyclic`, built without re-checking it:
+    cycle C_{3k} (vertices 0..3k-1 in cycle order) with pendant 3k+j on
+    cycle vertex 3j."""
+    k = ExtremalSpec("unicyclic", n).k
     edges = [(i, (i + 1) % (3 * k)) for i in range(3 * k)]
     edges += [(3 * j, 3 * k + j) for j in range(k)]
-    return _verified(Graph(n, edges), k)
+    return Graph(n, edges)
+
+
+def extremal_unicyclic(n: int) -> Graph:
+    """The sun attaining multiplicity n / 4, re-verified against the
+    exact engine."""
+    return _verified(extremal_unicyclic_unverified(n), ExtremalSpec("unicyclic", n).k)
 
 
 def find_extremal_by_enumeration(n: int, family: str) -> list[Graph]:

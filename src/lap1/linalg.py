@@ -14,12 +14,14 @@ Hadamard bound as Bareiss's dense elimination; L - I of a tree, a sun or
 a sparse random graph has about 3n nonzeros, and the work follows the
 fill-in instead of n^3.
 
-`rank` takes either of two forms: a dense `IntMatrix`, or a
-`SparseIntMatrix` whose rows hold only their nonzero entries.  The exact
-route builds L - I sparse straight from the adjacency lists, and the
-peeling builds its core sparse, so neither materialises an n x n matrix;
-`laplacian` and `IntMatrix` remain for the Berkowitz route and the
-`verify` checks.  `rank` copies what it is given and never changes it.
+`rank` and `char_poly` each take either of two forms: a dense
+`IntMatrix`, or a `SparseIntMatrix` whose rows hold only their nonzero
+entries.  The exact route builds L - I sparse straight from the adjacency
+lists, the peeling builds its core sparse, and `integer_laplacian_eigenvalues`
+builds L sparse, so none of them materialises an n x n matrix.  Dense
+matrices remain for `laplacian`, `internal_submatrix` and `adjacency`,
+which the `verify` lemma checks use.  Both engines copy what they are
+given and never change it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .graphs import Graph, pendant_profile
@@ -121,6 +123,14 @@ def laplacian(g: Graph) -> IntMatrix:
     return IntMatrix(a, cols=n)
 
 
+def _dict_rows(m: IntMatrix | SparseIntMatrix) -> list[dict[int, int]]:
+    """Row i of m as a new dict {column: nonzero int}: a dense row keeps
+    its nonzero entries, a sparse row is copied."""
+    if isinstance(m, SparseIntMatrix):
+        return [dict(row) for row in m.data]
+    return [dict(filter(itemgetter(1), enumerate(row))) for row in m.data]
+
+
 def rank(m: IntMatrix | SparseIntMatrix) -> int:
     """Exact rank over the rationals, by sparse fraction-free elimination.
 
@@ -151,9 +161,7 @@ def rank(m: IntMatrix | SparseIntMatrix) -> int:
     """
     rows: dict[int, dict[int, int]] = {}
     cols: defaultdict[int, set[int]] = defaultdict(set)
-    sparse = isinstance(m, SparseIntMatrix)
-    for i, row in enumerate(m.data):
-        entries = dict(row) if sparse else dict(filter(itemgetter(1), enumerate(row)))
+    for i, entries in enumerate(_dict_rows(m)):
         if entries:
             rows[i] = entries
             for j in entries:
@@ -205,41 +213,72 @@ def rank(m: IntMatrix | SparseIntMatrix) -> int:
     return r
 
 
-def char_poly(m: IntMatrix) -> list[int]:
+def char_poly(m: IntMatrix | SparseIntMatrix) -> list[int]:
     """Characteristic polynomial det(xI - M) by the division-free
-    Berkowitz recurrence.  Coefficients ascending: index i holds the
-    coefficient of x^i; the 0x0 matrix gives [1]."""
-    if not m.is_square():
+    Berkowitz recurrence (Berkowitz, "On computing the determinant in
+    small parallel time using a small number of processors", IPL 18,
+    1984).  Coefficients ascending: index i holds the coefficient of x^i;
+    the 0x0 matrix gives [1].
+
+    The input is a dense `IntMatrix` or a `SparseIntMatrix`; as in `rank`,
+    only loading the rows differs, and the input is never changed.  Step k
+    takes the polynomial of the leading k x k block B to that of the
+    leading (k+1) x (k+1) block, by the Toeplitz column 1, -M[k][k],
+    -R C, -R B C, ..., -R B^(k-1) C, where R and C are row and column k
+    cut to the block.  Each product B w reads only the stored entries of
+    B's rows, so step k costs about k times the entries of B: O(n^2 m)
+    for m stored entries, against O(n^4) for a dense loop, plus O(n^3)
+    for the polynomial products.
+    """
+    if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.rows
-    a = m.data
+    rows = _dict_rows(m)
+    # block_cols[i], block_vals[i]: the entries of row i inside the block
+    block_cols: list[list[int]] = []
+    block_vals: list[list[int]] = []
     poly = [1]  # descending coefficients of det(xI - leading block)
-    for k in range(1, n + 1):
-        corner = a[k - 1][k - 1]
-        row = a[k - 1][: k - 1]
-        col = [a[i][k - 1] for i in range(k - 1)]
-        # Toeplitz column: 1, -corner, -(row . col), -(row . B col), ...
+    for k, row in enumerate(rows):
+        corner = row.get(k, 0)
+        r_cols = [j for j in row if j < k]
+        r_vals = [row[j] for j in r_cols]
+        col = [rows[i].get(k, 0) for i in range(k)]
         v = [1, -corner]
         w = col
-        for _ in range(k - 1):
-            v.append(-sum(x * y for x, y in zip(row, w)))
-            w = [sum(a[i][j] * w[j] for j in range(k - 1)) for i in range(k - 1)]
-        new = [0] * (k + 1)
-        for j, pj in enumerate(poly):
-            if pj == 0:
-                continue
-            top = k - j
-            for di in range(min(len(v) - 1, top) + 1):
-                new[j + di] += v[di] * pj
+        # once R or B^t C is zero every later entry is zero too
+        while r_cols and len(v) < k + 2 and any(w):
+            v.append(-sum(map(mul, r_vals, map(w.__getitem__, r_cols))))
+            if len(v) < k + 2:
+                w = [sum(map(mul, vals, map(w.__getitem__, cs)))
+                     for cs, vals in zip(block_cols, block_vals)]
+        # new = (lower-triangular Toeplitz matrix of v) times poly: the
+        # sum of v[d] * poly shifted down by d, cut to k + 2 coefficients
+        new = poly + [0]
+        for d in range(1, len(v)):
+            if v[d]:
+                new[d:] = map(add, new[d:], map(v[d].__mul__, poly[:k + 2 - d]))
         poly = new
-    return list(reversed(poly))
+        for i, x in enumerate(col):
+            if x:
+                block_cols[i].append(k)
+                block_vals[i].append(x)
+        if corner:
+            r_cols.append(k)
+            r_vals.append(corner)
+        block_cols.append(r_cols)
+        block_vals.append(r_vals)
+    return poly[::-1]
 
 
 def poly_root_multiplicity(coeffs: Sequence[int], lam: int | Fraction) -> int:
-    """Multiplicity of lam as a root, by repeated exact synthetic division.
-    Coefficients ascending."""
-    lam = Fraction(lam)
-    desc = [Fraction(c) for c in reversed(coeffs)]
+    """Multiplicity of the rational lam as a root; coefficients ascending.
+
+    With lam = a/b in lowest terms, this divides by the primitive factor
+    b*x - a over the integers for as long as the remainder is 0.  By
+    Gauss's lemma the quotient of an integer polynomial by a primitive
+    factor is integral, so a quotient coefficient that is not an integer
+    already shows that lam is not a root.  An integer lam has b = 1."""
+    a, b = lam.numerator, lam.denominator
+    desc = list(reversed(coeffs))
     while desc and desc[0] == 0:
         desc.pop(0)
     if not desc:
@@ -247,13 +286,16 @@ def poly_root_multiplicity(coeffs: Sequence[int], lam: int | Fraction) -> int:
     mult = 0
     while len(desc) > 1:
         quot = []
-        acc = Fraction(0)
-        for c in desc:
-            acc = acc * lam + c
-            quot.append(acc)
-        if quot[-1] != 0:
-            break
-        desc = quot[:-1]
+        acc = desc[0]
+        for c in desc[1:]:
+            q, r = divmod(acc, b)
+            if r:
+                return mult
+            quot.append(q)
+            acc = c + a * q
+        if acc:
+            return mult
+        desc = quot
         mult += 1
     return mult
 
@@ -369,9 +411,16 @@ def internal_submatrix(g: Graph) -> IntMatrix:
 
 def integer_laplacian_eigenvalues(g: Graph) -> list[tuple[int, int]]:
     """All integer Laplacian eigenvalues with exact multiplicities, read
-    off the characteristic polynomial.  Laplacian eigenvalues lie in
-    [0, n], so only that window is scanned."""
-    coeffs = char_poly(laplacian(g))
+    off the characteristic polynomial of L, which is built as sparse rows.
+    Laplacian eigenvalues lie in [0, n], so only that window is scanned."""
+    rows = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        row = dict.fromkeys(nbrs, -1)
+        if nbrs:
+            row[v] = len(nbrs)
+        rows.append(row)
+    coeffs = char_poly(SparseIntMatrix(rows, g.n))
     out = []
     for lam in range(g.n + 1):
         k = poly_root_multiplicity(coeffs, lam)

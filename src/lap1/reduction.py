@@ -23,6 +23,7 @@ Rules and their effect on the multiplicity of the Laplacian eigenvalue 1:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .canon import canonical_form
 from .graph6 import to_graph6
@@ -69,12 +70,57 @@ TERMINAL_RULES = frozenset(
 )
 
 
+class _Lazy:
+    """A trace string made from a graph on first read, then kept.  The
+    graph is dropped once its string exists, and steps that hold the same
+    _Lazy share one string, so each graph is labelled at most once.  It
+    compares and hashes as its string."""
+
+    __slots__ = ("make", "graph", "text")
+
+    def __init__(self, make: Callable[[Graph], str], graph: Graph) -> None:
+        self.make = make
+        self.graph = graph
+        self.text: str | None = None
+
+    def __str__(self) -> str:
+        if self.text is None:
+            self.text = self.make(self.graph)
+            self.graph = None
+        return self.text
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (str, _Lazy)):
+            return str(self) == str(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
 @dataclass(frozen=True)
 class ReductionStep:
+    """One rule application: its rule, the canonical forms of the graph
+    before and after it, and its offset to the multiplicity.  A form given
+    as a `_Lazy` is made when `before` or `after` is first read, or in
+    `to_json`, so a caller that reads only rules and offsets labels
+    nothing."""
+
     rule: str
-    before: str  # canonical form
-    after: str   # canonical form
+    _before: str | _Lazy
+    _after: str | _Lazy
     offset: int
+
+    @property
+    def before(self) -> str:
+        return str(self._before)
+
+    @property
+    def after(self) -> str:
+        return str(self._after)
 
     def to_json(self) -> dict:
         return {
@@ -87,9 +133,16 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    input_g6: str
+    """The steps of one pipeline run and their total.  `input_g6`, like
+    the steps' forms, is made on first read or in `to_json`."""
+
+    _input: str | _Lazy
     steps: tuple[ReductionStep, ...]
     total: int
+
+    @property
+    def input_g6(self) -> str:
+        return str(self._input)
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +202,7 @@ def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     only degree-2 quasi-pendants, so this terminates within q(g) steps."""
     steps: list[ReductionStep] = []
     cur = g
+    form = _Lazy(canonical_form, cur)
     while True:
         prof = pendant_profile(cur)
         target = next(
@@ -157,9 +211,9 @@ def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
         if target is None:
             return cur, tuple(steps)
         u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
-        before = steps[-1].after if steps else canonical_form(cur)
         cur = reduction_operation(cur, u, target)
-        steps.append(ReductionStep(REDUCTION_OPERATION, before, canonical_form(cur), 0))
+        before, form = form, _Lazy(canonical_form, cur)
+        steps.append(ReductionStep(REDUCTION_OPERATION, before, form, 0))
 
 
 def _check_pendant_p3(g: Graph, path: PathLocation) -> None:
@@ -278,16 +332,17 @@ def cycle_multiplicity_one(n: int) -> int:
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
     """Multiplicity of 1 via the reduction pipeline, with a replayable
     trace.  Rule order is fixed: pendant clustering, then pendant-P_3
-    deletion on tree components, then terminal rules per component."""
+    deletion on tree components, then terminal rules per component.  The
+    trace labels nothing until its strings are read."""
     steps: list[ReductionStep] = []
     cur = g
-    cur_form = canonical_form(cur)
+    cur_form = _Lazy(canonical_form, cur)
     total = 0
     while True:
         prof = pendant_profile(cur)
         if prof.p > prof.q:
             nxt, off = reduced_graph(cur)
-            nxt_form = canonical_form(nxt)
+            nxt_form = _Lazy(canonical_form, nxt)
             steps.append(ReductionStep(PENDANT_CLUSTER, cur_form, nxt_form, off))
             total += off
             cur, cur_form = nxt, nxt_form
@@ -295,7 +350,7 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
         path = _tree_component_pendant_p3(cur)
         if path is not None:
             nxt, _ = cur.delete_vertices(path.vertices)
-            nxt_form = canonical_form(nxt)
+            nxt_form = _Lazy(canonical_form, nxt)
             steps.append(ReductionStep(DELETE_PENDANT_P3, cur_form, nxt_form, 0))
             cur, cur_form = nxt, nxt_form
             continue
@@ -306,7 +361,7 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
             sub, form = cur, cur_form
         else:
             sub, _ = cur.induced_subgraph(comp)
-            form = canonical_form(sub)
+            form = _Lazy(canonical_form, sub)
         if is_star_like(sub):
             rule, residual = STAR_LIKE_ZERO, 0
         elif is_double_star_like(sub):
@@ -317,4 +372,4 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
             rule, residual = EXACT_RANK_FALLBACK, multiplicity_one_by_peeling(sub)
         steps.append(ReductionStep(rule, form, form, residual))
         total += residual
-    return total, ReductionTrace(to_graph6(g), tuple(steps), total)
+    return total, ReductionTrace(_Lazy(to_graph6, g), tuple(steps), total)

@@ -182,14 +182,25 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly(IntMatrix([[1, 2, 3]]))
+        with pytest.raises(ValueError):
+            char_poly(SparseIntMatrix([{0: 1}], 2))
 
-    @given(st.integers(0, 5), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_against_interpolation_oracle(self, n, data):
+    @given(st.integers(0, 6), st.integers(0, 100), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_interpolation_oracle(self, n, density, data):
+        # non-symmetric, at every density, in both input forms
+        percent = st.integers(0, 99)
         rows = [
-            [data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)
+            [data.draw(st.integers(-9, 9)) if data.draw(percent) < density else 0
+             for _ in range(n)]
+            for _ in range(n)
         ]
-        assert char_poly(IntMatrix(rows)) == charpoly_by_interpolation(rows)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        before = [dict(row) for row in sparse]
+        expected = charpoly_by_interpolation(rows)
+        assert char_poly(IntMatrix(rows)) == expected
+        assert char_poly(SparseIntMatrix(sparse, n)) == expected
+        assert sparse == before
 
     def test_root_multiplicity(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2
@@ -198,6 +209,31 @@ class TestCharPoly:
         assert poly_root_multiplicity([2, -3, 0, 1], 5) == 0
         # (2x - 1)^2 = 4x^2 - 4x + 1 has the rational root 1/2 twice
         assert poly_root_multiplicity([1, -4, 4], Fraction(1, 2)) == 2
+        # (3x + 2)(x - 1) = 3x^2 - x - 2
+        assert poly_root_multiplicity([-2, -1, 3], Fraction(-2, 3)) == 1
+        assert poly_root_multiplicity([-2, -1, 3], Fraction(2, 3)) == 0
+        assert poly_root_multiplicity([-2, -1, 3], 1) == 1
+        assert poly_root_multiplicity([0, 0, 5], 0) == 2
+        assert poly_root_multiplicity([7], 3) == 0
+        with pytest.raises(ValueError):
+            poly_root_multiplicity([0, 0], 1)
+
+    @given(st.integers(-6, 6), st.integers(1, 6), st.integers(0, 4),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_root_multiplicity_of_built_products(self, a, b, e, cofactor):
+        lam = Fraction(a, b)
+        if not any(cofactor) or sum(
+            c * lam**i for i, c in enumerate(cofactor)
+        ) == 0:
+            return  # lam must not be a root of the cofactor
+        # cofactor times (den x - num)^e, ascending coefficients
+        coeffs = list(cofactor)
+        for _ in range(e):
+            shifted = [0] + coeffs
+            coeffs = [lam.denominator * s - lam.numerator * c
+                      for s, c in zip(shifted, coeffs + [0])]
+        assert poly_root_multiplicity(coeffs, lam) == e
 
 
 class TestMultiplicities:

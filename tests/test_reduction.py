@@ -10,6 +10,7 @@ import time
 import pytest
 
 import lap1.linalg as linalg
+import lap1.reduction as reduction
 from lap1.canon import canonical_form
 from lap1.graphs import (
     Graph,
@@ -36,7 +37,10 @@ from lap1.reduction import (
     reduction_operation,
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
+from lap1.extremal import extremal_tree, extremal_unicyclic
+from lap1.graph6 import parse_graph6, to_graph6
 from families import caterpillar, sun
+from fixtures import TRACES
 
 
 def iso(a: Graph, b: Graph) -> bool:
@@ -378,6 +382,36 @@ class TestMultiplicityFast:
             assert multiplicity_fast(g.relabel(perm))[0] == k
             assert time.perf_counter() - t0 < 5.0
 
+    def test_library_reaches_order_ten_to_the_five(self):
+        # an unread trace makes no canonical form, so no graph6 string of
+        # n(n - 1)/12 characters (830 MB here) is ever built
+        for g, k in ((extremal_tree(100006), 25000),
+                     (extremal_unicyclic(100000), 25000)):
+            t0 = time.perf_counter()
+            assert multiplicity_fast(g)[0] == k
+            assert time.perf_counter() - t0 < 5.0
+
+    def test_trace_labels_each_graph_once_and_only_when_read(self, monkeypatch):
+        real = reduction.canonical_form
+        labelled, encoded = [], []
+        monkeypatch.setattr(reduction, "canonical_form",
+                            lambda g: labelled.append(g) or real(g))
+        monkeypatch.setattr(reduction, "to_graph6",
+                            lambda g: encoded.append(g) or to_graph6(g))
+        g = spider([3, 3, 2, 1, 1])
+        m, trace = multiplicity_fast(g)
+        assert [s.rule for s in trace.steps] == [
+            "PendantCluster", "DeletePendantP3", "DeletePendantP3",
+            "DeletePendantP3", "ExactRankFallback"]
+        assert labelled == encoded == []
+        payload = trace.to_json()
+        # five graphs: the input, three rewrites and the terminal one,
+        # whose form the last step holds as both before and after
+        assert [h.n for h in labelled] == [11, 10, 7, 4, 1]
+        assert encoded == [g]
+        assert trace.to_json() == payload
+        assert len(labelled) == 5 and len(encoded) == 1
+
     def test_agreement_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(150):
@@ -437,6 +471,11 @@ class TestMultiplicityFast:
         for step in payload["steps"]:
             assert set(step) == {"rule", "before_g6", "after_g6", "offset"}
         json.dumps(payload)  # serializable
+
+    def test_traces_are_pinned(self):
+        for name, g6, expected in TRACES:
+            trace = multiplicity_fast(parse_graph6(g6))[1]
+            assert json.dumps(trace.to_json(), sort_keys=True) == expected, name
 
     def test_determinism(self):
         g = spider([3, 2, 2, 1])

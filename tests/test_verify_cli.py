@@ -15,6 +15,7 @@ import lap1.verify as verify
 from lap1.canon import canonical_form
 from lap1.graph6 import parse_graph6, to_graph6, write_edge_list
 from lap1.graphs import Graph, path_graph, star_graph
+from lap1.linalg import laplacian_multiplicity_one
 from lap1.verify import (
     clear_caches,
     run_suite,
@@ -23,6 +24,7 @@ from lap1.verify import (
     verify_thm2,
     verify_thm3,
 )
+import oracles
 from families import caterpillar, sun
 
 
@@ -164,6 +166,70 @@ class TestSuites:
         finally:
             monkeypatch.undo()
             clear_caches()
+
+    def test_mutation_in_berkowitz_is_caught(self, monkeypatch):
+        # a factor of x too many makes the Berkowitz route count one zero
+        # coefficient too many on every graph, and nothing else reads it
+        real_char_poly = verify.char_poly
+        clear_caches()
+        monkeypatch.setattr(verify, "char_poly", lambda m: [0] + real_char_poly(m))
+        try:
+            r = verify_thm1(max_n=6, n_random=5)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert Counter(v["rule"] for v in r.violations) == {
+            "cross-oracle": r.graphs_checked
+        }
+
+    @pytest.mark.parametrize("entry, kwargs", [
+        pytest.param(verify_thm2, dict(max_n=10), id="thm2"),
+        pytest.param(verify_thm3, dict(max_n=12), id="thm3"),
+    ])
+    def test_rank_defect_is_reported_by_the_bound_suites(
+        self, monkeypatch, entry, kwargs
+    ):
+        # the extremal graphs the aggregate compares against are built
+        # without re-checking them on the rank route, which would raise
+        real_rank = linalg.rank
+        clear_caches()
+        monkeypatch.setattr(linalg, "rank", lambda m: real_rank(m) + 1)
+        try:
+            r = entry(**kwargs)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert any(v["rule"] == "cross-oracle" for v in r.violations)
+
+
+class TestBerkowitzRoute:
+    def test_nullity_of_relabelled_shifted_laplacians(self):
+        rng = random.Random(53)
+        graphs = [sun(k) for k in (1, 4, 10)]
+        for n in (2, 13, 27, 40):
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            graphs.append(Graph(n, oracles.prufer_to_edges(seq)))
+        for n, prob in ((1, 0), (6, 0), (9, 0.5), (20, 0.2), (40, 0.1), (40, 0.3)):
+            graphs.append(Graph(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n) if rng.random() < prob]))
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            rows = [[h.degree(i) - 1 if i == j else -h.has_edge(i, j)
+                     for j in range(h.n)] for i in range(h.n)]
+            assert verify._m1_charpoly(h) == h.n - oracles.fraction_rank(rows)
+
+    def test_random_tree_of_order_150_within_time(self):
+        rng = random.Random(59)
+        n = 150
+        g = Graph(n, oracles.prufer_to_edges(
+            tuple(rng.randrange(n) for _ in range(n - 2))))
+        clear_caches()
+        t0 = time.perf_counter()
+        m = verify._m1_charpoly(g)
+        assert time.perf_counter() - t0 < 5.0
+        assert m == laplacian_multiplicity_one(g)
 
 
 class TestCli:
@@ -403,10 +469,14 @@ class TestCli:
         try:
             assert cli.main(["verify", "thm1", "--max-n", "5",
                              "--random-graphs", "5"]) == 1
+            capsys.readouterr()
+            # thm2's aggregate builds the extremal caterpillars, which must
+            # not re-check themselves on the broken rank route and raise
+            assert cli.main(["verify", "thm2", "--max-n", "10"]) == 1
         finally:
             monkeypatch.undo()
             clear_caches()
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["violations"]
 
     def test_verify_all_small(self, capsys):
         assert cli.main(
