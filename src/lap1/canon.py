@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph6 import to_graph6
+from .graph6 import encode_graph6
 from .graphs import Graph
 
 Code = str  # AHU code: mark digit, sorted child codes, ")"
@@ -323,39 +323,57 @@ def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
     return [comp[i] for i in best[1]]
 
 
+def _component_order(g: Graph, comp: Sequence[int], m: int) -> list[int]:
+    if len(comp) == 1:
+        return list(comp)
+    if m == len(comp) - 1:
+        return _tree_component_order(g, comp)
+    if m == len(comp):
+        return _unicyclic_component_order(g, comp)
+    return _general_component_order(g, comp)
+
+
 def canonical_labeling(g: Graph) -> list[int]:
     """Old vertices listed in canonical order (position = new label)."""
+    comps = g.components()
+    if len(comps) <= 1:
+        return _component_order(g, comps[0], g.edge_count) if comps else []
+    # Several components: bucket the edges by component in one pass, then
+    # order the components by (order, canonical edge list).
+    comp_of = [0] * g.n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for e in g.edges:
+        comp_edges[comp_of[e[0]]].append(e)
     keyed = []
-    for comp in g.components():
-        compset = set(comp)
-        m = sum(1 for u, v in g.edges if u in compset) if compset else 0
-        if len(comp) == 1:
-            order = list(comp)
-        elif m == len(comp) - 1:
-            order = _tree_component_order(g, comp)
-        elif m == len(comp):
-            order = _unicyclic_component_order(g, comp)
-        else:
-            order = _general_component_order(g, comp)
+    for comp, edges in zip(comps, comp_edges):
+        order = _component_order(g, comp, len(edges))
         pos = {v: i for i, v in enumerate(order)}
         local_edges = sorted(
-            (min(pos[u], pos[v]), max(pos[u], pos[v]))
-            for u, v in g.edges
-            if u in compset
+            (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+            for u, v in edges
         )
         keyed.append(((len(comp), tuple(local_edges)), order))
     keyed.sort(key=lambda t: t[0])
     return [v for _, order in keyed for v in order]
 
 
+def _positions(g: Graph) -> list[int]:
+    """The canonical label of each vertex."""
+    pos = [0] * g.n
+    for new, old in enumerate(canonical_labeling(g)):
+        pos[old] = new
+    return pos
+
+
 def canonical_graph(g: Graph) -> Graph:
-    order = canonical_labeling(g)
-    perm = [0] * g.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return g.relabel(perm)
+    return g.relabel(_positions(g))
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string of a relabeled representative."""
-    return to_graph6(canonical_graph(g))
+    """Canonical graph6 string: the edges written straight in canonical
+    positions, without building the relabelled graph."""
+    pos = _positions(g)
+    return encode_graph6(g.n, [(pos[u], pos[v]) for u, v in g.edges])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
+from typing import Iterable
 
 from .graphs import Graph
 
@@ -24,7 +25,12 @@ class Graph6Error(ValueError):
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
+    return encode_graph6(g.n, g.edges)
+
+
+def encode_graph6(n: int, pairs: Iterable[tuple[int, int]]) -> str:
+    """graph6 of the graph on 0..n-1 with the given edges, each listed
+    once, in either orientation."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
@@ -33,8 +39,8 @@ def to_graph6(g: Graph) -> str:
         raise Graph6Error(f"vertex count {n} too large for this encoder")
     # Every group starts as "?" (63, no bits set); each edge sets its bit.
     body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
-    for i, j in g.edges:  # i < j
-        bit = j * (j - 1) // 2 + i
+    for i, j in pairs:
+        bit = j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j
         body[bit // 6] += 32 >> (bit % 6)
     return head + body.decode("ascii")
 

@@ -406,26 +406,26 @@ def _legs_are_p2(g: Graph, center: int, skip: int | None = None) -> bool:
 def is_star_like(g: Graph) -> bool:
     """Tree on >= 5 vertices with a center whose removal leaves only P_2
     components."""
-    if g.n < 5 or g.n % 2 == 0 or not g.is_tree():
+    if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
         return False
     s = (g.n - 1) // 2
     return any(
         g.degree(u) == s and _legs_are_p2(g, u) for u in range(g.n)
-    )
+    ) and g.is_tree()
 
 
 def is_double_star_like(g: Graph) -> bool:
     """Two star-like trees joined by one edge between their centers."""
-    if g.n < 10 or g.n % 2 != 0 or not g.is_tree():
+    if g.n < 10 or g.n % 2 != 0 or g.edge_count != g.n - 1:
         return False
     for u, v in g.edges:
         if (
             g.degree(u) >= 3
             and g.degree(v) >= 3
+            # the P_2 legs on both sides must cover all n vertices
+            and 2 * (g.degree(u) - 1) + 2 * (g.degree(v) - 1) + 2 == g.n
             and _legs_are_p2(g, u, skip=v)
             and _legs_are_p2(g, v, skip=u)
         ):
-            # Local P_2 conditions on both sides cover all n vertices.
-            if 2 * (g.degree(u) - 1) + 2 * (g.degree(v) - 1) + 2 == g.n:
-                return True
+            return g.is_tree()
     return False

@@ -354,8 +354,9 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
     and passed to `rank` as a sparse row.  Trees and suns leave no core
     and make no `rank` call.
     """
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    d = [Fraction(len(nbrs) - 1) for nbrs in adj]
+    adj = list(map(set, map(g.neighbors, range(g.n))))
+    # exact diagonals: ints, until a leaf divides one into a Fraction
+    d: list[int | Fraction] = [len(nbrs) - 1 for nbrs in adj]
     alive = [True] * g.n
     todo = [v for v in range(g.n) if len(adj[v]) <= 1]
     zeros = 0
@@ -380,7 +381,7 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
             continue
         (r,) = adj[v]
         if d[v]:
-            d[r] -= 1 / d[v]
+            d[r] -= Fraction(1, d[v])
             remove(v)
         else:
             remove(v)

@@ -18,12 +18,22 @@ Rules and their effect on the multiplicity of the Laplacian eigenvalue 1:
                      CycleClosedForm (2 if 6 | n else 0),
                      ExactRankFallback (leaf elimination, then the
                      exact rank of the residual core)
+
+`multiplicity_fast` applies PendantCluster and DeletePendantP3 to one
+mutable work state instead of rebuilding the graph: adjacency sets, the
+pendants of each quasi-pendant, a tree flag per component and a heap of
+pendant P_3s keyed on input labels.  A step costs time in proportion to
+the vertices it deletes and their neighbours, so a run is
+O((n + m) log n).  Its trace keeps the input and the input labels each
+step deleted, and rebuilds a step's graph, then its canonical form, only
+when a string is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from heapq import heappop, heappush
+from typing import Callable, Sequence
 
 from .canon import canonical_form
 from .graph6 import to_graph6
@@ -71,22 +81,22 @@ TERMINAL_RULES = frozenset(
 
 
 class _Lazy:
-    """A trace string made from a graph on first read, then kept.  The
-    graph is dropped once its string exists, and steps that hold the same
-    _Lazy share one string, so each graph is labelled at most once.  It
-    compares and hashes as its string."""
+    """A trace string made as make(*args) on first read, then kept.  The
+    arguments are dropped once the string exists, and steps that hold the
+    same _Lazy share one string, so each graph is labelled at most once.
+    It compares and hashes as its string."""
 
-    __slots__ = ("make", "graph", "text")
+    __slots__ = ("make", "args", "text")
 
-    def __init__(self, make: Callable[[Graph], str], graph: Graph) -> None:
+    def __init__(self, make: Callable[..., str], *args: object) -> None:
         self.make = make
-        self.graph = graph
+        self.args = args
         self.text: str | None = None
 
     def __str__(self) -> str:
         if self.text is None:
-            self.text = self.make(self.graph)
-            self.graph = None
+            self.text = self.make(*self.args)
+            self.make = self.args = None
         return self.text
 
     def __eq__(self, other: object) -> bool:
@@ -298,27 +308,8 @@ def contract_tree_P5(t: Graph, path: PathLocation) -> Graph:
 
 # -- fast pipeline ---------------------------------------------------------
 
-def _tree_component_pendant_p3(g: Graph) -> PathLocation | None:
-    """Lexicographically smallest pendant P_3 lying in a tree component."""
-    comps = g.components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    tree_comp = set()
-    for ci, comp in enumerate(comps):
-        compset = set(comp)
-        m = sum(1 for a, b in g.edges if a in compset)
-        if m == len(comp) - 1:
-            tree_comp.add(ci)
-    for path in find_pendant_paths(g, 3):
-        if comp_of[path.vertices[0]] in tree_comp:
-            return path
-    return None
-
-
 def _is_bare_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.is_connected() and all(g.degree(v) == 2 for v in range(g.n))
+    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)) and g.is_connected()
 
 
 def cycle_multiplicity_one(n: int) -> int:
@@ -329,39 +320,158 @@ def cycle_multiplicity_one(n: int) -> int:
     return 2 if n % 6 == 0 else 0
 
 
+class _Replay:
+    """The graphs of one pipeline run, rebuilt from its input and the
+    input labels each step deleted: graph i is the input minus the first
+    i deletions, survivors in their input order."""
+
+    __slots__ = ("g", "deleted")
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.deleted: list[tuple[int, ...]] = []
+
+    def graph(self, i: int) -> Graph:
+        if not i:
+            return self.g
+        return self.g.delete_vertices(set().union(*self.deleted[:i]))[0]
+
+    def form(self, i: int) -> str:
+        return canonical_form(self.graph(i))
+
+
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
     """Multiplicity of 1 via the reduction pipeline, with a replayable
     trace.  Rule order is fixed: pendant clustering, then pendant-P_3
-    deletion on tree components, then terminal rules per component.  The
-    trace labels nothing until its strings are read."""
+    deletion on tree components, then terminal rules per component.
+
+    Both rules delete as many edges as vertices and never disconnect, so
+    a component keeps the tree flag it is first found with.  Degrees only
+    fall, so a heap entry (attachment, middle, tip) that stops being a
+    pendant P_3 never becomes one again, and stale entries are dropped
+    when they reach the top.  `delete_vertices` keeps relative order, so
+    the least live entry is the lexicographically smallest pendant P_3
+    of the graph that rebuilding after every step would hold, and the
+    steps are the same."""
+    n = g.n
+    adj = list(map(set, map(g.neighbors, range(n))))
+    alive = [True] * n
+    pends: dict[int, set[int]] = {}  # quasi-pendant -> its pendants
+    for v in range(n):
+        if len(adj[v]) == 1:
+            pends.setdefault(next(iter(adj[v])), set()).add(v)
+    crowded = {w for w, ps in pends.items() if len(ps) > 1}
+    comp = [-1] * n  # component index, set by the first search that meets v
+    tree: list[bool] = []
+    heap: list[tuple[int, int, int]] = []
+
+    def label(s: int) -> None:
+        c = len(tree)
+        comp[s] = c
+        stack = [s]
+        size = degrees = 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            degrees += len(adj[v])
+            for w in adj[v]:
+                if comp[w] < 0:
+                    comp[w] = c
+                    stack.append(w)
+        tree.append(degrees == 2 * size - 2)
+
+    def push(tip: int) -> None:
+        (b,) = adj[tip]
+        if len(adj[b]) != 2:
+            return
+        if comp[tip] < 0:
+            label(tip)
+        if tree[comp[tip]]:
+            for a in adj[b]:
+                if a != tip and len(adj[a]) == 2:
+                    heappush(heap, (a, b, tip))
+
+    def delete(drop: Sequence[int]) -> None:
+        for x in drop:
+            alive[x] = False
+        touched = set()
+        for x in drop:
+            nbrs = adj[x]
+            if len(nbrs) == 1:  # its owner may go in the same step
+                pends.get(next(iter(nbrs)), set()).discard(x)
+            pends.pop(x, None)
+            for y in nbrs:
+                if alive[y]:
+                    adj[y].discard(x)
+                    touched.add(y)
+            adj[x] = set()
+        for y in touched:
+            d = len(adj[y])
+            if d == 1:
+                (z,) = adj[y]
+                ps = pends.setdefault(z, set())
+                ps.add(y)
+                if len(ps) > 1:
+                    crowded.add(z)
+                push(y)
+            elif d == 2:
+                # y may now be the middle or the attachment of a P_3
+                for z in adj[y]:
+                    if len(adj[z]) == 1:
+                        push(z)
+                    elif len(adj[z]) == 2:
+                        for t in adj[z]:
+                            if len(adj[t]) == 1:
+                                push(t)
+
+    for ps in pends.values():
+        for tip in ps:
+            push(tip)
+
+    replay = _Replay(g)
     steps: list[ReductionStep] = []
-    cur = g
-    cur_form = _Lazy(canonical_form, cur)
+    cur_form = _Lazy(replay.form, 0)
     total = 0
     while True:
-        prof = pendant_profile(cur)
-        if prof.p > prof.q:
-            nxt, off = reduced_graph(cur)
-            nxt_form = _Lazy(canonical_form, nxt)
-            steps.append(ReductionStep(PENDANT_CLUSTER, cur_form, nxt_form, off))
-            total += off
-            cur, cur_form = nxt, nxt_form
-            continue
-        path = _tree_component_pendant_p3(cur)
-        if path is not None:
-            nxt, _ = cur.delete_vertices(path.vertices)
-            nxt_form = _Lazy(canonical_form, nxt)
-            steps.append(ReductionStep(DELETE_PENDANT_P3, cur_form, nxt_form, 0))
-            cur, cur_form = nxt, nxt_form
-            continue
-        break
-    comps = cur.components()
-    for comp in comps:
-        if len(comps) == 1:
-            sub, form = cur, cur_form
+        if crowded:
+            drop = [v for w in crowded for v in sorted(pends[w])[1:]]
+            crowded.clear()
+            rule, offset = PENDANT_CLUSTER, len(drop)
         else:
-            sub, _ = cur.induced_subgraph(comp)
-            form = _Lazy(canonical_form, sub)
+            while heap:
+                a, b, tip = heap[0]
+                if (len(adj[tip]) == 1 and b in adj[tip] and len(adj[b]) == 2
+                        and a in adj[b] and len(adj[a]) == 2):
+                    break
+                heappop(heap)
+            if not heap:
+                break
+            drop, rule, offset = heappop(heap), DELETE_PENDANT_P3, 0
+        delete(drop)
+        replay.deleted.append(tuple(drop))
+        nxt_form = _Lazy(replay.form, len(replay.deleted))
+        steps.append(ReductionStep(rule, cur_form, nxt_form, offset))
+        total += offset
+        cur_form = nxt_form
+
+    # Components never split, so the final ones are those met so far,
+    # shrunk, in the order of their lowest vertex.
+    parts: dict[int, list[int]] = {}
+    local = [0] * n
+    for v in range(n):
+        if alive[v]:
+            if comp[v] < 0:
+                label(v)
+            vs = parts.setdefault(comp[v], [])
+            local[v] = len(vs)
+            vs.append(v)
+    for vs in parts.values():
+        if not steps and len(parts) == 1:
+            sub = g
+        else:
+            sub = Graph._unchecked(len(vs), [
+                (local[v], local[w]) for v in vs for w in adj[v] if v < w])
+        form = cur_form if len(parts) == 1 else _Lazy(canonical_form, sub)
         if is_star_like(sub):
             rule, residual = STAR_LIKE_ZERO, 0
         elif is_double_star_like(sub):

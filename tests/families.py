@@ -1,9 +1,11 @@
 """Graph families built in code for the tests: the extremal shapes, which
-reach any order, and highly symmetric graphs, which stress canonical
-labelling."""
+reach any order, highly symmetric graphs, which stress canonical
+labelling, and seeded random trees and relabellings."""
 
 from __future__ import annotations
 
+import heapq
+import random
 from itertools import combinations
 
 from lap1.graphs import Graph
@@ -56,3 +58,30 @@ def petersen() -> Graph:
     pairs = list(combinations(range(5), 2))
     return Graph(10, [(a, b) for a, b in combinations(range(10), 2)
                       if not set(pairs[a]) & set(pairs[b])])
+
+
+def prufer_tree(n: int, rng: random.Random) -> Graph:
+    """A uniformly random labelled tree on n vertices, decoded from a
+    random Prüfer sequence."""
+    if n <= 2:
+        return Graph(n, [(0, 1)] if n == 2 else [])
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, edges)
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)

@@ -22,7 +22,7 @@ from lap1.graphs import (
     spider,
     star_graph,
 )
-from families import caterpillar, hypercube, paley, petersen, rook
+from families import caterpillar, hypercube, paley, petersen, prufer_tree, relabelled, rook
 from fixtures import CANONICAL_FORMS
 from oracles import brute_canonical_edges
 
@@ -162,3 +162,23 @@ def test_deep_tree_forms_and_orbit_keys():
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
     spine_end, last_pendant = 0, g.n - 1
     assert tree_marked_code(g, spine_end) != tree_marked_code(g, last_pendant)
+
+
+def test_forests_with_many_components_label_in_linear_time():
+    # The edges are bucketed by component once, not scanned per
+    # component: a perfect matching of 4,000 vertices has 2,000
+    # components, and the forest below has about 1,000.
+    rng = random.Random(12)
+    matching = Graph(4000, [(2 * i, 2 * i + 1) for i in range(2000)])
+    forest = Graph(0)
+    for _ in range(40):
+        forest = disjoint_union(forest, prufer_tree(rng.randint(1, 60), rng))
+    forest = disjoint_union(forest, Graph(900))
+    for g in (matching, forest):
+        t0 = time.perf_counter()
+        want = canonical_form(g)
+        assert time.perf_counter() - t0 < 0.3
+        t0 = time.perf_counter()
+        assert canonical_form(relabelled(g, rng)) == want
+        assert time.perf_counter() - t0 < 0.3
+        assert canonical_graph(g).degree_sequence() == g.degree_sequence()

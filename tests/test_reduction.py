@@ -3,9 +3,11 @@ exactly p - q) the multiplicity of 1, checked by the exact engine."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,6 +21,8 @@ from lap1.graphs import (
     double_star_like_tree,
     find_internal_paths,
     find_pendant_paths,
+    is_double_star_like,
+    is_star_like,
     path_graph,
     pendant_profile,
     spider,
@@ -39,7 +43,7 @@ from lap1.reduction import (
 from lap1.enumeration import free_trees, unicyclic_graphs
 from lap1.extremal import extremal_tree, extremal_unicyclic
 from lap1.graph6 import parse_graph6, to_graph6
-from families import caterpillar, sun
+from families import caterpillar, prufer_tree, relabelled, sun
 from fixtures import TRACES
 
 
@@ -384,12 +388,25 @@ class TestMultiplicityFast:
 
     def test_library_reaches_order_ten_to_the_five(self):
         # an unread trace makes no canonical form, so no graph6 string of
-        # n(n - 1)/12 characters (830 MB here) is ever built
+        # n(n - 1)/12 characters (830 MB here) is ever built; the random
+        # tree takes thousands of P_3 and cluster steps
+        tree = prufer_tree(100000, random.Random(3))
         for g, k in ((extremal_tree(100006), 25000),
-                     (extremal_unicyclic(100000), 25000)):
+                     (extremal_unicyclic(100000), 25000),
+                     (tree, m1(tree))):
             t0 = time.perf_counter()
             assert multiplicity_fast(g)[0] == k
             assert time.perf_counter() - t0 < 5.0
+
+    def test_random_tree_steps_cost_what_they_touch(self):
+        # hundreds of steps on a relabelled tree of order 4,000: each step
+        # updates only the neighbourhood of what it deletes
+        g = relabelled(prufer_tree(4000, random.Random(17)), random.Random(18))
+        t0 = time.perf_counter()
+        m, trace = multiplicity_fast(g)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(trace.steps) > 100
+        assert m == m1(g)
 
     def test_trace_labels_each_graph_once_and_only_when_read(self, monkeypatch):
         real = reduction.canonical_form
@@ -463,6 +480,38 @@ class TestMultiplicityFast:
         )
         assert terminal_forms == comp_forms
 
+    def test_trace_reads_in_any_order_give_the_same_json(self):
+        rng = random.Random(41)
+        graphs = [spider([3, 3, 2, 1, 1]),
+                  disjoint_union(cycle_graph(6), disjoint_union(path_graph(9), star_graph(3)))]
+        graphs += [relabelled(prufer_tree(n, rng), rng) for n in (30, 60, 90)]
+        for g in graphs:
+            want = json.dumps(multiplicity_fast(g)[1].to_json(), sort_keys=True)
+            trace = multiplicity_fast(g)[1]
+            last = trace.steps[-1].before
+            order = list(range(len(trace.steps)))
+            rng.shuffle(order)
+            for i in order:
+                assert trace.steps[i].after
+            assert json.dumps(trace.to_json(), sort_keys=True) == want
+            assert trace.steps[-1].before == last
+
+    def test_trace_retains_about_the_input_not_every_step(self):
+        # the trace keeps the input and the labels each step deleted, not
+        # one graph per step (about 150 steps here)
+        tracemalloc.start()
+        try:
+            g = prufer_tree(2000, random.Random(23))
+            gc.collect()
+            input_size = tracemalloc.get_traced_memory()[0]
+            m, trace = multiplicity_fast(g)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - input_size
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) > 100
+        assert retained < 2 * input_size
+
     def test_trace_json_schema(self):
         m, trace = multiplicity_fast(star_graph(3))
         payload = trace.to_json()
@@ -509,6 +558,96 @@ class TestMultiplicityFast:
         for n in range(2, 9):
             for t in free_trees(n):
                 assert alt_pipeline(t) == multiplicity_fast(t)[0]
+
+
+def reference_trace(g: Graph) -> dict:
+    """The pipeline as first written, from public operations only: it
+    rebuilds and labels the graph after every step, and deletes the
+    lexicographically smallest pendant P_3 lying in a tree component."""
+
+    def in_tree(h: Graph, v: int) -> bool:
+        comp = next(c for c in h.components() if v in c)
+        return h.induced_subgraph(comp)[0].is_tree()
+
+    steps, total, cur = [], 0, g
+    while True:
+        prof = pendant_profile(cur)
+        if prof.p > prof.q:
+            rule = "PendantCluster"
+            nxt, offset = reduced_graph(cur)
+        else:
+            path = next((p for p in find_pendant_paths(cur, 3)
+                         if in_tree(cur, p.vertices[0])), None)
+            if path is None:
+                break
+            rule = "DeletePendantP3"
+            nxt, offset = cur.delete_vertices(path.vertices)[0], 0
+        steps.append({"rule": rule, "before_g6": canonical_form(cur),
+                      "after_g6": canonical_form(nxt), "offset": offset})
+        total += offset
+        cur = nxt
+    for comp in cur.components():
+        sub = cur.induced_subgraph(comp)[0]
+        if is_star_like(sub):
+            rule = "StarLikeZero"
+        elif is_double_star_like(sub):
+            rule = "DoubleStarLikeZero"
+        elif sub.n >= 3 and all(sub.degree(v) == 2 for v in range(sub.n)):
+            rule = "CycleClosedForm"
+        else:
+            rule = "ExactRankFallback"
+        form = canonical_form(sub)
+        steps.append({"rule": rule, "before_g6": form, "after_g6": form,
+                      "offset": m1(sub)})
+        total += m1(sub)
+    return {"input_g6": to_graph6(g), "steps": steps, "total": total}
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < p])
+
+
+def _forest(rng: random.Random, parts: int, max_n: int) -> Graph:
+    g = Graph(0)
+    for _ in range(parts):
+        g = disjoint_union(g, prufer_tree(rng.randint(1, max_n), rng))
+    return g
+
+
+def _tree_plus_edge(rng: random.Random) -> Graph:
+    t = prufer_tree(rng.randint(3, 40), rng)
+    while True:
+        u, v = rng.sample(range(t.n), 2)
+        if not t.has_edge(u, v):
+            return t.add_edge(u, v)
+
+
+def _mixture(rng: random.Random) -> Graph:
+    g = Graph(0)
+    for _ in range(rng.randint(2, 5)):
+        part = (prufer_tree(rng.randint(1, 14), rng) if rng.random() < 0.5
+                else _gnp(rng.randint(1, 9), 0.35, rng))
+        g = disjoint_union(g, part)
+    return g
+
+
+REFERENCE_INPUTS = {
+    "random trees": lambda rng, i: prufer_tree(1 + i % 60, rng),
+    "forests": lambda rng, i: _forest(rng, rng.randint(2, 6), 15),
+    "trees plus one edge": lambda rng, i: _tree_plus_edge(rng),
+    "G(n, p)": lambda rng, i: _gnp(1 + i % 14, rng.uniform(0.05, 0.5), rng),
+    "mixtures": lambda rng, i: _mixture(rng),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_INPUTS))
+def test_pipeline_matches_rebuild_every_step_reference(family):
+    rng = random.Random(family)
+    for i in range(80):
+        g = relabelled(REFERENCE_INPUTS[family](rng, i), rng)
+        got = json.dumps(multiplicity_fast(g)[1].to_json(), sort_keys=True)
+        assert got == json.dumps(reference_trace(g), sort_keys=True), to_graph6(g)
 
 
 def test_cycle_multiplicity_closed_form():
