@@ -3,11 +3,13 @@
 Each connected component is canonically labeled by an algorithm suited to
 its shape, then components are ordered by their canonical keys:
 
-* trees and forests: AHU subtree codes rooted at the tree center(s),
-  as flat strings, so depth never hits the recursion limit;
-* unicyclic components: rotation/reflection-minimal word of AHU codes of
-  the trees hanging off the unique cycle, found by a linear-time least
-  rotation scan in each direction;
+* trees and unicyclic components: leaves are stripped down to the core,
+  the one or two centers of a tree or the unique cycle.  AHU codes of the
+  trees hanging off the core, flat strings so that depth never hits the
+  recursion limit, are read in the least order of the core: centers
+  sorted by code, the cycle in the rotation/reflection-minimal word found
+  by a linear-time least rotation scan in each direction.  A tree is the
+  acyclic case of the same labeller;
 * everything else: degree refinement with individualization, minimizing
   the adjacency bitstring over the explored labelings.  The search
   branches on one representative per twin class, and prunes with the
@@ -18,7 +20,7 @@ its shape, then components are ordered by their canonical keys:
   subtree is the image of an explored one, so the minimum, and the first
   labeling that attains it, are the same as without this pruning.
 
-All three are complete invariants, so the dispatch (which is itself
+Both are complete invariants, so the dispatch (which is itself
 isomorphism-invariant) preserves the equal-iff-isomorphic contract.
 Tree and unicyclic codes cost about order times depth.  The general
 search has no polynomial bound, but vertex-transitive graphs up to 64
@@ -33,22 +35,19 @@ from typing import Sequence
 from .graph6 import encode_graph6
 from .graphs import Graph
 
-Code = str  # AHU code: mark digit, sorted child codes, ")"
+Code = str  # AHU code: "0", sorted child codes, ")"
 
 
 def _rooted_code(
-    g: Graph,
-    root: int,
-    blocked: frozenset[int] = frozenset(),
-    mark: int | None = None,
+    g: Graph, root: int, blocked: frozenset[int] = frozenset()
 ) -> tuple[Code, dict[int, list[int]]]:
     """AHU code of the tree reachable from root without entering blocked
     vertices, and each vertex's children in ascending (code, vertex) order.
 
-    A code is the mark digit, the sorted child codes, then ")".  Codes are
-    prefix-free and ")" sorts below both digits, so comparing two codes as
-    strings is comparing (mark, sorted child codes) lexicographically,
-    with no recursion however deep the tree."""
+    A code is "0", the sorted child codes, then ")".  Codes are prefix-free
+    and ")" sorts below "0", so comparing two codes as strings is comparing
+    their sorted child codes lexicographically, with no recursion however
+    deep the tree."""
     kids: dict[int, list[int]] = {root: []}
     order = [root]
     for v in order:
@@ -64,7 +63,7 @@ def _rooted_code(
     for v in reversed(order):
         ch = kids[v]
         ch.sort(key=code.__getitem__)
-        code[v] = ("1" if v == mark else "0") + "".join([code.pop(w) for w in ch]) + ")"
+        code[v] = "0" + "".join([code.pop(w) for w in ch]) + ")"
     return code[root], kids
 
 
@@ -77,57 +76,6 @@ def _code_dfs(root: int, kids: dict[int, list[int]]) -> list[int]:
         out.append(v)
         stack.extend(reversed(kids[v]))
     return out
-
-
-def _tree_centers(g: Graph, comp: Sequence[int]) -> list[int]:
-    n = len(comp)
-    if n <= 2:
-        return sorted(comp)
-    deg = {v: g.degree(v) for v in comp}
-    leaves = [v for v in comp if deg[v] == 1]
-    removed = 0
-    while n - removed > 2:
-        nxt = []
-        for v in leaves:
-            deg[v] = 0
-            for w in g.neighbors(v):
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        removed += len(leaves)
-        leaves = nxt
-    return sorted(leaves)
-
-
-def _tree_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
-    centers = _tree_centers(g, comp)
-    if len(centers) == 1:
-        c = centers[0]
-        return _code_dfs(c, _rooted_code(g, c)[1])
-    c1, c2 = centers
-    halves = [
-        _rooted_code(g, c1, frozenset([c2])) + (c1,),
-        _rooted_code(g, c2, frozenset([c1])) + (c2,),
-    ]
-    halves.sort(key=lambda h: h[0])
-    out = []
-    for _, kids, root in halves:
-        out.extend(_code_dfs(root, kids))
-    return out
-
-
-def tree_marked_code(g: Graph, v: int) -> Code:
-    """Automorphism-orbit key for a vertex of a tree: two vertices get
-    equal keys iff an automorphism maps one to the other."""
-    comp = list(range(g.n))
-    centers = _tree_centers(g, comp)
-    if len(centers) == 1:
-        return _rooted_code(g, centers[0], mark=v)[0]
-    c1, c2 = centers
-    code1 = _rooted_code(g, c1, frozenset([c2]), mark=v)[0]
-    code2 = _rooted_code(g, c2, frozenset([c1]), mark=v)[0]
-    return "".join(sorted([code1, code2]))
 
 
 def _least_rotation(word: Sequence[Code]) -> tuple[int, int]:
@@ -158,30 +106,41 @@ def _least_rotation(word: Sequence[Code]) -> tuple[int, int]:
     return min(i, j), period if n % period == 0 else n
 
 
-def _unicyclic_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
-    # The 2-core of a unicyclic component is its unique cycle.
+def _core_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
+    """Order of a tree or unicyclic component of at least two vertices.
+
+    Leaves are stripped level by level until the core is left: the one or
+    two centers of a tree, or the cycle.  Each core vertex roots an AHU
+    code of its hanging tree, and the core is walked in its least rotation
+    over both directions.  A tree's core is a walk of length one or two,
+    whose least rotation puts its centers in order of code."""
     deg = {v: g.degree(v) for v in comp}
     leaves = [v for v in comp if deg[v] == 1]
-    while leaves:
+    left = len(comp)
+    # A cycle has at least three vertices, so only a tree stops at two.
+    while leaves and left > 2:
         nxt = []
         for v in leaves:
-            deg[v] = 0
+            deg[v] = -1
             for w in g.neighbors(v):
                 if deg[w] > 0:
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
+        left -= len(leaves)
         leaves = nxt
-    coreset = frozenset(v for v in comp if deg[v] > 0)
-    start = min(coreset)
-    cyc = []
-    prev, cur = None, start
-    while True:
-        cyc.append(cur)
-        step = min(w for w in g.neighbors(cur) if w in coreset and w != prev)
-        if step == start:
-            break
-        prev, cur = cur, step
+    core = [v for v in comp if deg[v] >= 0]
+    coreset = frozenset(core)
+    cyc = core
+    if len(core) > 2:
+        cyc = []
+        prev, cur = None, core[0]
+        while True:
+            cyc.append(cur)
+            step = min(w for w in g.neighbors(cur) if w in coreset and w != prev)
+            if step == core[0]:
+                break
+            prev, cur = cur, step
     length = len(cyc)
 
     hang_code: dict[int, Code] = {}
@@ -326,10 +285,8 @@ def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
 def _component_order(g: Graph, comp: Sequence[int], m: int) -> list[int]:
     if len(comp) == 1:
         return list(comp)
-    if m == len(comp) - 1:
-        return _tree_component_order(g, comp)
-    if m == len(comp):
-        return _unicyclic_component_order(g, comp)
+    if m <= len(comp):
+        return _core_component_order(g, comp)
     return _general_component_order(g, comp)
 
 

@@ -27,7 +27,13 @@ from .enumeration import (
     unicyclic_graphs,
 )
 from .extremal import ExtremalSpec, extremal_tree, extremal_unicyclic
-from .graph6 import Graph6Error, parse_graph6, read_edge_list, to_graph6
+from .graph6 import (
+    MAX_N as GRAPH6_MAX_N,
+    Graph6Error,
+    parse_graph6,
+    read_edge_list,
+    to_graph6,
+)
 from .graphs import Graph, pendant_profile
 from .linalg import laplacian_multiplicity_one
 from .reduction import (
@@ -79,6 +85,16 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return g
 
 
+def _check_graph6_order(g: Graph) -> None:
+    """Traces and reduce reports carry graph6, so an order it cannot
+    encode is rejected before any route runs."""
+    if g.n > GRAPH6_MAX_N:
+        raise UsageError(
+            f"n={g.n} exceeds {GRAPH6_MAX_N}, the largest order graph6"
+            " encodes; only mult --method exact accepts it"
+        )
+
+
 def _read_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "g6", None):
         try:
@@ -119,6 +135,8 @@ def _emit(payload: dict | list, args: argparse.Namespace) -> None:
 
 def _cmd_mult(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    if args.method != "exact":
+        _check_graph6_order(g)
     prof = pendant_profile(g)
     payload: dict = {"n": g.n, "p": prof.p, "q": prof.q, "method": args.method}
     code = EXIT_OK
@@ -148,6 +166,7 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    _check_graph6_order(g)
     input_g6 = to_graph6(g)
     if args.to == "final":
         result, steps = final_reduction_graph(g)

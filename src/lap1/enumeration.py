@@ -1,13 +1,11 @@
 """Isomorph-free generation of trees and unicyclic graphs, class filters,
 and seeded random connected graphs.
 
-Trees come from canonical augmentation: each tree of order n-1 is grown
-by one leaf per vertex orbit, and a child survives only when the added
-leaf lies in the canonical leaf orbit of the child.  This emits exactly
-one representative per isomorphism class with no global dedupe.
-
-Unicyclic graphs are every tree representative plus one non-edge,
-deduplicated by canonical form (simple and exact at these sizes).
+Both families grow by a leaf.  Every tree of order n >= 2 has a leaf, and
+so does every unicyclic graph other than the cycle C_n; deleting that
+leaf leaves a member of order n - 1.  So level n is every member of level
+n - 1 with a leaf added at each vertex, plus C_n for unicyclic graphs,
+keeping one graph per canonical form.
 """
 
 from __future__ import annotations
@@ -18,9 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .canon import canonical_form, tree_marked_code
+from .canon import canonical_form
 from .graph6 import parse_graph6
-from .graphs import Graph, find_pendant_paths, is_reduced
+from .graphs import Graph, cycle_graph, find_pendant_paths, is_reduced
 
 MAX_TREE_N = 16
 MAX_UNICYCLIC_N = 14
@@ -64,29 +62,27 @@ CLASS_G_UNICYCLIC = GraphClass(
 )
 
 
+def _grow_by_a_leaf(
+    seeds: Iterable[Graph], parents: Iterable[str]
+) -> tuple[str, ...]:
+    """Sorted canonical forms of the seeds and of every parent with one
+    leaf added at one of its vertices."""
+    seen = {canonical_form(g) for g in seeds}
+    for g6 in parents:
+        parent = parse_graph6(g6)
+        n = parent.n
+        for v in range(n):
+            child = Graph._unchecked(n + 1, parent.edges | {(v, n)})
+            seen.add(canonical_form(child))
+    return tuple(sorted(seen))
+
+
 @lru_cache(maxsize=None)
 def _tree_level(n: int) -> tuple[str, ...]:
     """Canonical graph6 strings of all free trees of order n, sorted."""
     if n == 1:
         return (canonical_form(Graph(1)),)
-    out = []
-    for parent_g6 in _tree_level(n - 1):
-        parent = parse_graph6(parent_g6)
-        seen_orbits = set()
-        for v in range(parent.n):
-            orbit = tree_marked_code(parent, v)
-            if orbit in seen_orbits:
-                continue
-            seen_orbits.add(orbit)
-            child = Graph._unchecked(
-                parent.n + 1, set(parent.edges) | {(v, parent.n)}
-            )
-            added = parent.n
-            leaves = [w for w in range(child.n) if child.degree(w) == 1]
-            keys = {w: tree_marked_code(child, w) for w in leaves}
-            if keys[added] == min(keys.values()):
-                out.append(canonical_form(child))
-    return tuple(sorted(out))
+    return _grow_by_a_leaf((), _tree_level(n - 1))
 
 
 def free_trees(n: int) -> Iterator[Graph]:
@@ -100,15 +96,10 @@ def free_trees(n: int) -> Iterator[Graph]:
 
 @lru_cache(maxsize=None)
 def _unicyclic_level(n: int) -> tuple[str, ...]:
-    seen = set()
-    for tree_g6 in _tree_level(n):
-        tree = parse_graph6(tree_g6)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if tree.has_edge(u, v):
-                    continue
-                seen.add(canonical_form(tree.add_edge(u, v)))
-    return tuple(sorted(seen))
+    """Canonical graph6 strings of all connected unicyclic graphs of
+    order n, sorted."""
+    parents = _unicyclic_level(n - 1) if n > 3 else ()
+    return _grow_by_a_leaf((cycle_graph(n),), parents)
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:

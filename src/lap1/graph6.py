@@ -18,6 +18,7 @@ from typing import Iterable
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
+MAX_N = 258047  # the largest order the 3-byte vertex count holds
 
 
 class Graph6Error(ValueError):
@@ -33,7 +34,7 @@ def encode_graph6(n: int, pairs: Iterable[tuple[int, int]]) -> str:
     once, in either orientation."""
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= MAX_N:
         head = chr(126) + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
     else:
         raise Graph6Error(f"vertex count {n} too large for this encoder")

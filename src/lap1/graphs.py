@@ -146,9 +146,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def is_forest(self) -> bool:
-        return self.edge_count == self.n - len(self.components())
-
     def is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 

@@ -87,6 +87,10 @@ CANONICAL_FORMS = [
     ("prufer(n=13)", "LCIC??@A??aAWO", "LpCGS?@?G?_A?@"),
     ("prufer(n=16)", "OG_A?oG???W?@AG?gAA??", "OsE?GC@?S??@?@??_?O?@"),
     ("prufer(n=20)", "S?@_O@?g?C?_C??O?C????_CO?CE?GO??", "ShGGK?@?G?_C?@?@??G?G??C?_???G??C"),
+    # bicentral, with unequal and with equal halves, as produced while
+    # trees and unicyclic graphs had separate labellers
+    ("double_star_like(2,3)", "K?O?_@P@PAOC", "KkE?GCC?GG?@"),
+    ("double_star_like(3,3)", "M_???QAG?_G?kO`??", "MkE?K?@?GA?@?O??_"),
     ("prufer(n=30)", "]????C@???AAG???I??O?_?AAC???@??CGG@??_?????o?@?AO???G?A???????O?E????G???", "]iD?GCC?G@?@?@_???G?@??C??O??G??G??_???G???_??C???@????_???_???@????G????G"),
     # unicyclic
     ("C3", "Bw", "Bw"),

@@ -408,6 +408,22 @@ class TestCli:
         assert cli.main(["mult", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 3
 
+    def test_orders_graph6_cannot_encode_are_usage_errors(self, tmp_path, capsys):
+        # Traces and reduce reports carry graph6, whose vertex count stops
+        # at 258,047; the exact route writes none and still answers.
+        path = tmp_path / "big.txt"
+        path.write_text("258048 0\n")
+        for argv in (
+            ["reduce"],
+            ["mult", "--method", "fast"],
+            ["mult", "--method", "both"],
+        ):
+            assert cli.main(argv + ["--file", str(path)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "258047" in captured.err
+        assert cli.main(["mult", "--method", "exact", "--file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["m1"] == 0
+
     def test_out_of_range_inputs_are_usage_errors(self, capsys):
         for argv in (
             ["enumerate", "--class", "tree", "--n", "17"],
