@@ -8,9 +8,6 @@ canonical forms, isomorph-free enumeration.  No floating point.
 
 from .canon import canonical_form, canonical_graph, canonical_labeling
 from .enumeration import (
-    CLASS_G_UNICYCLIC,
-    CLASS_T,
-    GraphClass,
     filter_class,
     free_trees,
     random_connected_graph,
@@ -18,12 +15,7 @@ from .enumeration import (
     unicyclic_graphs,
     unicyclic_in_class_G,
 )
-from .extremal import (
-    ExtremalSpec,
-    extremal_tree,
-    extremal_unicyclic,
-    find_extremal_by_enumeration,
-)
+from .extremal import ExtremalSpec, extremal_tree, extremal_unicyclic
 from .graph6 import (
     Graph6Error,
     parse_graph6,

@@ -13,13 +13,11 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .canon import canonical_form
 from .enumeration import (
-    GraphClass,
-    FILTER_NO_PENDANT_P3,
-    FILTER_REDUCED,
     MAX_TREE_N,
     MAX_UNICYCLIC_N,
     filter_class,
@@ -34,7 +32,7 @@ from .graph6 import (
     read_edge_list,
     to_graph6,
 )
-from .graphs import Graph, pendant_profile
+from .graphs import Graph, find_pendant_paths, is_reduced, pendant_profile
 from .linalg import laplacian_multiplicity_one
 from .reduction import (
     ReductionStep,
@@ -44,18 +42,23 @@ from .reduction import (
     multiplicity_fast,
     reduced_graph,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_max_n
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
+
+def _no_pendant_p3(g: Graph) -> bool:
+    return not find_pendant_paths(g, 3)
+
+
 FILTER_ALIASES = {
-    "reduced": FILTER_REDUCED,
-    "nop3": FILTER_NO_PENDANT_P3,
-    "noP3": FILTER_NO_PENDANT_P3,
-    "no-pendant-P3": FILTER_NO_PENDANT_P3,
+    "reduced": is_reduced,
+    "nop3": _no_pendant_p3,
+    "noP3": _no_pendant_p3,
+    "no-pendant-P3": _no_pendant_p3,
 }
 
 
@@ -195,18 +198,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_filters(raw: str | None) -> frozenset[str]:
-    if not raw:
-        return frozenset()
-    names = []
-    for token in raw.split(","):
+def _parse_filters(raw: str | None) -> Callable[[Graph], bool]:
+    """The conjunction of the comma-listed filters; none keeps every graph."""
+    predicates = []
+    for token in raw.split(",") if raw else ():
         token = token.strip()
         if token not in FILTER_ALIASES:
-            raise UsageError(
-                f"unknown filter {token!r}; known: reduced, noP3"
-            )
-        names.append(FILTER_ALIASES[token])
-    return frozenset(names)
+            raise UsageError(f"unknown filter {token!r}; known: reduced, noP3")
+        predicates.append(FILTER_ALIASES[token])
+    return lambda g: all(p(g) for p in predicates)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -217,9 +217,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         lo, hi, generate = 3, MAX_UNICYCLIC_N, unicyclic_graphs
     if not lo <= args.n <= hi:
         raise UsageError(f"{args.cls} enumeration supports {lo} <= n <= {hi}")
-    cls = GraphClass(args.cls, _parse_filters(args.filter))
     count = 0
-    for g in filter_class(generate(args.n), cls):
+    for g in filter_class(generate(args.n), _parse_filters(args.filter)):
         print(to_graph6(g))
         count += 1
     print(f"{count} graphs", file=sys.stderr)
@@ -238,10 +237,10 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n is not None:
-        if args.max_n < 1:
-            raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
-        _check_cap(args.max_n)
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        _check_cap(suite_max_n(suite, args.max_n))
     reports = run_suite(
         args.suite,
         max_n=args.max_n,

@@ -1,65 +1,30 @@
-"""Isomorph-free generation of trees and unicyclic graphs, class filters,
-and seeded random connected graphs.
+"""Isomorph-free generation of trees and unicyclic graphs, the members of
+the bounds' class among them, and seeded random connected graphs.
 
 Both families grow by a leaf.  Every tree of order n >= 2 has a leaf, and
 so does every unicyclic graph other than the cycle C_n; deleting that
 leaf leaves a member of order n - 1.  So level n is every member of level
 n - 1 with a leaf added at each vertex, plus C_n for unicyclic graphs,
 keeping one graph per canonical form.
+
+The class of Theorems 1.2 and 1.3 is `graphs.in_class_G`; `filter_class`
+keeps the members of a stream that a predicate accepts, and the class
+lists are the two families filtered by `in_class_G`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_form
 from .graph6 import parse_graph6
-from .graphs import Graph, cycle_graph, find_pendant_paths, is_reduced
+from .graphs import Graph, cycle_graph, in_class_G
 
 MAX_TREE_N = 16
 MAX_UNICYCLIC_N = 14
-
-FILTER_REDUCED = "reduced"
-FILTER_NO_PENDANT_P3 = "no-pendant-P3"
-KNOWN_FILTERS = frozenset({FILTER_REDUCED, FILTER_NO_PENDANT_P3})
-
-
-@dataclass(frozen=True)
-class GraphClass:
-    """A base family plus structural filters."""
-
-    base: str  # "tree" | "unicyclic" | "any-connected"
-    filters: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.base not in ("tree", "unicyclic", "any-connected"):
-            raise ValueError(f"unknown base class {self.base!r}")
-        unknown = set(self.filters) - KNOWN_FILTERS
-        if unknown:
-            raise ValueError(f"unknown filters {sorted(unknown)}")
-
-    def matches(self, g: Graph) -> bool:
-        if self.base == "tree" and not g.is_tree():
-            return False
-        if self.base == "unicyclic" and not g.is_unicyclic():
-            return False
-        if self.base == "any-connected" and not g.is_connected():
-            return False
-        if FILTER_REDUCED in self.filters and not is_reduced(g):
-            return False
-        if FILTER_NO_PENDANT_P3 in self.filters and find_pendant_paths(g, 3):
-            return False
-        return True
-
-
-CLASS_T = GraphClass("tree", frozenset({FILTER_REDUCED, FILTER_NO_PENDANT_P3}))
-CLASS_G_UNICYCLIC = GraphClass(
-    "unicyclic", frozenset({FILTER_REDUCED, FILTER_NO_PENDANT_P3})
-)
 
 
 def _grow_by_a_leaf(
@@ -113,17 +78,21 @@ def unicyclic_graphs(n: int) -> Iterator[Graph]:
         yield parse_graph6(g6)
 
 
-def filter_class(stream: Iterable[Graph], c: GraphClass) -> Iterator[Graph]:
-    """Graphs of the stream satisfying all class predicates, order-stable."""
-    return (g for g in stream if c.matches(g))
+def filter_class(
+    stream: Iterable[Graph], keep: Callable[[Graph], bool]
+) -> Iterator[Graph]:
+    """The graphs of the stream that keep accepts, order-stable."""
+    return (g for g in stream if keep(g))
 
 
 def trees_in_class_T(n: int) -> list[Graph]:
-    return list(filter_class(free_trees(n), CLASS_T))
+    """The trees of order n in the class of Theorem 1.2 (`in_class_G`)."""
+    return list(filter_class(free_trees(n), in_class_G))
 
 
 def unicyclic_in_class_G(n: int) -> list[Graph]:
-    return list(filter_class(unicyclic_graphs(n), CLASS_G_UNICYCLIC))
+    """The unicyclic graphs of order n in the class of Theorem 1.3."""
+    return list(filter_class(unicyclic_graphs(n), in_class_G))
 
 
 def random_connected_graph(

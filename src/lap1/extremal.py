@@ -8,16 +8,20 @@ check, for callers that check the multiplicity themselves:
 
 * extremal tree (order n = 4k + 6, multiplicity k): a caterpillar with
   spine P_{3k+5} and one pendant on every third spine vertex starting at
-  the third.  Unique in its class at n = 6, 10, 14 by enumeration.
+  the third.
 * extremal unicyclic (order n = 4k, multiplicity k): the sun C_{3k} with
-  one pendant on every third cycle vertex.  Unique at n = 12.
+  one pendant on every third cycle vertex.
+
+That each is the only class member attaining its bound is checked by the
+thm2 and thm3 verification suites, against the enumerated class at every
+order they reach: n = 6, 10, 14 for trees and n = 12 for suns at their
+default sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import trees_in_class_T, unicyclic_in_class_G
 from .graphs import Graph, in_class_G
 from .linalg import laplacian_multiplicity_one
 
@@ -106,16 +110,3 @@ def extremal_unicyclic(n: int) -> Graph:
     """The sun attaining multiplicity n / 4, re-verified against the
     exact engine."""
     return _verified(extremal_unicyclic_unverified(n), ExtremalSpec("unicyclic", n).k)
-
-
-def find_extremal_by_enumeration(n: int, family: str) -> list[Graph]:
-    """All members of the class attaining the theorem's bound exactly,
-    one per isomorphism class.  Empty whenever the bound is not an
-    integer."""
-    if family == "tree":
-        members = trees_in_class_T(n)
-        return [t for t in members if 4 * laplacian_multiplicity_one(t) == n - 6]
-    if family == "unicyclic":
-        members = unicyclic_in_class_G(n)
-        return [g for g in members if 4 * laplacian_multiplicity_one(g) == n]
-    raise ValueError(f"unknown family {family!r}")

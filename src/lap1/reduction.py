@@ -1,23 +1,28 @@
 """Multiplicity-preserving and multiplicity-shifting graph reductions,
 with audited traces, plus the fast multiplicity pipeline.
 
-Rules and their effect on the multiplicity of the Laplacian eigenvalue 1:
+The rules a trace records, and their effect on the multiplicity of the
+Laplacian eigenvalue 1:
 
 * PendantCluster     delete surplus pendants until p = q; shift +(p - q)
 * ReductionOperation remove a pendant and its neighbor, hang a fresh P_2
                      on every other former neighbor; preserving for
                      neighbor degree >= 3
 * DeletePendantP3    drop a pendant P_3 from a tree; preserving
-* EdgeSplit          detach an edge at a quasi-pendant and reconnect it
-                     through a fresh P_2; preserving
-* ContractInternalP5 shrink an internal P_5 of a tree to an edge;
-                     preserving
-* ContractLineP4     contract an internal P_4 to a vertex; preserves the
-                     adjacency multiplicity of -1
 * terminal rules     StarLikeZero / DoubleStarLikeZero (multiplicity 0),
                      CycleClosedForm (2 if 6 | n else 0),
                      ExactRankFallback (leaf elimination, then the
                      exact rank of the residual core)
+
+Three more operations, which the lemmas suite checks and no trace
+records:
+
+* edge_split         detach an edge at a quasi-pendant and reconnect it
+                     through a fresh P_2; preserving
+* contract_tree_P5   shrink an internal P_5 of a tree to an edge;
+                     preserving
+* contract_line_P4   contract an internal P_4 to a vertex; preserves the
+                     adjacency multiplicity of -1
 
 `multiplicity_fast` applies PendantCluster and DeletePendantP3 to one
 mutable work state instead of rebuilding the graph: adjacency sets, the
@@ -52,32 +57,10 @@ from .linalg import multiplicity_one_by_peeling
 PENDANT_CLUSTER = "PendantCluster"
 REDUCTION_OPERATION = "ReductionOperation"
 DELETE_PENDANT_P3 = "DeletePendantP3"
-EDGE_SPLIT = "EdgeSplit"
-CONTRACT_INTERNAL_P5 = "ContractInternalP5"
-CONTRACT_LINE_P4 = "ContractLineP4"
 STAR_LIKE_ZERO = "StarLikeZero"
 DOUBLE_STAR_LIKE_ZERO = "DoubleStarLikeZero"
 CYCLE_CLOSED_FORM = "CycleClosedForm"
 EXACT_RANK_FALLBACK = "ExactRankFallback"
-
-RULES = frozenset(
-    {
-        PENDANT_CLUSTER,
-        REDUCTION_OPERATION,
-        DELETE_PENDANT_P3,
-        EDGE_SPLIT,
-        CONTRACT_INTERNAL_P5,
-        CONTRACT_LINE_P4,
-        STAR_LIKE_ZERO,
-        DOUBLE_STAR_LIKE_ZERO,
-        CYCLE_CLOSED_FORM,
-        EXACT_RANK_FALLBACK,
-    }
-)
-
-TERMINAL_RULES = frozenset(
-    {STAR_LIKE_ZERO, DOUBLE_STAR_LIKE_ZERO, CYCLE_CLOSED_FORM, EXACT_RANK_FALLBACK}
-)
 
 
 class _Lazy:

@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .canon import canonical_form
 from .enumeration import (
@@ -160,16 +161,23 @@ def _map_graphs(fn, items: list, jobs: int) -> list:
 
 
 # -- graph sources ----------------------------------------------------------
+#
+# A source maps (max_n, seed, n_random) to the highest order it reaches,
+# which ends the report's n_range, and a stream of its graphs.
 
-def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
-    for n in range(1, min(max_n, MAX_TREE_N) + 1):
-        yield from free_trees(n)
-    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
-        yield from unicyclic_graphs(n)
+Source = tuple[int, Iterator[Graph]]
 
 
-def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
-    yield from _trees_and_unicyclic(max_n, seed, n_random)
+def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Source:
+    top = min(max_n, MAX_TREE_N)
+    return top, chain(
+        (t for n in range(1, top + 1) for t in free_trees(n)),
+        (g for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1)
+         for g in unicyclic_graphs(n)),
+    )
+
+
+def _random_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
     rng = random.Random(seed)
     for _ in range(n_random):
         n = rng.randint(1, max_n)
@@ -177,14 +185,20 @@ def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
         yield random_connected_graph(n, prob, rng.randrange(2**32))
 
 
-def _class_T(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
-    for n in range(6, min(max_n, MAX_TREE_N) + 1):
-        yield from trees_in_class_T(n)
+def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Source:
+    """Random graphs reach every order up to max_n."""
+    _, enumerated = _trees_and_unicyclic(max_n, seed, n_random)
+    return max_n, chain(enumerated, _random_graphs(max_n, seed, n_random))
 
 
-def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
-    for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1):
-        yield from unicyclic_in_class_G(n)
+def _class_T(max_n: int, seed: int, n_random: int) -> Source:
+    top = min(max_n, MAX_TREE_N)
+    return top, (t for n in range(6, top + 1) for t in trees_in_class_T(n))
+
+
+def _class_G(max_n: int, seed: int, n_random: int) -> Source:
+    top = min(max_n, MAX_UNICYCLIC_N)
+    return top, (g for n in range(3, top + 1) for g in unicyclic_in_class_G(n))
 
 
 # -- per-graph checks ------------------------------------------------------
@@ -307,11 +321,11 @@ def _bound(results: Results, name: str, orders: range, shift: int, build) -> lis
     return viol
 
 
-def _thm2_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+def _thm2_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
     """The tree bound, the census of the seven class members of order
     6..9 (all m = 0), and the caterpillar as the unique extremal tree."""
     viol = []
-    if max_n >= 9:
+    if top >= 9:
         small = [(g6, m) for g6, n, m in results if n <= 9]
         if len(small) != 7:
             viol.append(
@@ -320,18 +334,18 @@ def _thm2_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
         for g6, m in small:
             if m != 0:
                 viol.append(_violation(g6, "m=0 for n<=9", m, "thm2-census"))
-    orders = range(6, min(max_n, MAX_TREE_N) + 1)
-    return 0, viol + _bound(results, "thm2", orders, 6, extremal_tree_unverified)
+    return 0, viol + _bound(results, "thm2", range(6, top + 1), 6,
+                            extremal_tree_unverified)
 
 
-def _thm3_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+def _thm3_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
     """The unicyclic bound from order 10 on, and the sun as the unique
     extremal unicyclic graph."""
-    orders = range(10, min(max_n, MAX_UNICYCLIC_N) + 1)
-    return 0, _bound(results, "thm3", orders, 0, extremal_unicyclic_unverified)
+    return 0, _bound(results, "thm3", range(10, top + 1), 0,
+                     extremal_unicyclic_unverified)
 
 
-def _lemmas_aggregate(results: Results, max_n: int) -> tuple[int, list[dict]]:
+def _lemmas_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
     """Star-like and double star-like trees have m = 0, and cycles
     C_3..C_30 follow the closed form."""
     viol = []
@@ -359,9 +373,10 @@ class Suite:
     name: str
     lo: int  # lowest order checked; n_range starts here
     max_n: int  # default highest order
-    graphs: Callable[[int, int, int], Iterator[Graph]]  # (max_n, seed, n_random)
+    graphs: Callable[[int, int, int], Source]  # (max_n, seed, n_random)
     check: Callable[[str], tuple[int, list[dict]]]  # graph6 -> (m, violations)
-    # (results, max_n) -> (graphs checked beyond the source's, violations)
+    # (results, the source's top order) -> (graphs checked beyond the
+    # source's, violations)
     aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
     seeded: bool = False  # the source draws random graphs from the seed
 
@@ -379,28 +394,34 @@ _TABLE = {
 
 SUITES = tuple(_TABLE)
 
-DEFAULT_MAX_N = {name: s.max_n for name, s in _TABLE.items()}
+
+def suite_max_n(suite: str, max_n: int | None = None) -> int:
+    """The max_n a suite runs with: the given one, or the suite's default
+    when None, raised to the suite's lowest order.  No graph it checks is
+    larger."""
+    s = _TABLE[suite]
+    return max(s.max_n if max_n is None else max_n, s.lo)
 
 
 def _run(
     suite: Suite, max_n: int | None, seed: int = 0, n_random: int = 0, jobs: int = 1
 ) -> VerificationReport:
     t0 = time.monotonic()
-    max_n = max(suite.max_n if max_n is None else max_n, suite.lo)
-    graphs = [(to_graph6(g), g.n) for g in suite.graphs(max_n, seed, n_random)]
+    top, source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
+    graphs = [(to_graph6(g), g.n) for g in source]
     results = _map_graphs(suite.check, [g6 for g6, _ in graphs], jobs)
     violations = [v for _, viol in results for v in viol]
     extra = 0
     if suite.aggregate is not None:
         triples = [(g6, n, m) for (g6, n), (m, _) in zip(graphs, results)]
-        extra, more = suite.aggregate(triples, max_n)
+        extra, more = suite.aggregate(triples, top)
         violations += more
     violations.sort(
         key=lambda v: (v["rule"], v["graph6"], v["expected"], v["actual"])
     )
     return VerificationReport(
         suite.name,
-        (suite.lo, max_n),
+        (suite.lo, top),
         len(graphs) + extra,
         violations,
         int((time.monotonic() - t0) * 1000),

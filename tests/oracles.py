@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch, without touching
 the package's own algorithms, so that agreement between the two is
 meaningful: Fraction Gaussian elimination for rank, determinant
 interpolation for characteristic polynomials, a string-based AHU code for
-tree isomorphism, Prufer-sequence tree generation, and the classical
-counting formulas (Otter for free trees, the dihedral cycle index over
-rooted trees for unicyclic graphs).
+tree isomorphism, Prufer-sequence tree generation, the class of the
+two bounds read off adjacency lists, and the classical counting formulas
+(Otter for free trees, the dihedral cycle index over rooted trees for
+unicyclic graphs).
 """
 
 from __future__ import annotations
@@ -182,6 +183,36 @@ def brute_canonical_edges(n: int, edges: list[tuple[int, int]]):
         if best is None or cand < best:
             best = cand
     return (n, best)
+
+
+# -- the class of the two bounds ----------------------------------------------
+
+def leaf_neighbours_have_one_leaf(adj: list[list[int]]) -> bool:
+    """Reduced: every neighbour of a leaf has exactly one leaf."""
+    return all(
+        sum(len(adj[w]) == 1 for w in adj[nb[0]]) == 1
+        for nb in adj
+        if len(nb) == 1
+    )
+
+
+def no_leaf_on_two_degree_two_vertices(adj: list[list[int]]) -> bool:
+    """No pendant P_3: no leaf has a degree-2 neighbour whose other
+    neighbour also has degree 2."""
+    for leaf, nb in enumerate(adj):
+        if len(nb) != 1 or len(adj[nb[0]]) != 2:
+            continue
+        (other,) = (w for w in adj[nb[0]] if w != leaf)
+        if len(adj[other]) == 2:
+            return False
+    return True
+
+
+def in_bound_class(adj: list[list[int]]) -> bool:
+    """The class of Theorems 1.2 and 1.3: reduced, without pendant P_3."""
+    return leaf_neighbours_have_one_leaf(adj) and (
+        no_leaf_on_two_degree_two_vertices(adj)
+    )
 
 
 # -- counting formulas ---------------------------------------------------------

@@ -3,12 +3,14 @@ structural cross-checks against networkx, class filters, random graphs."""
 
 from __future__ import annotations
 
+import types
+
 import networkx as nx
 import pytest
 
+import lap1.cli as cli
 from lap1.canon import canonical_form
 from lap1.enumeration import (
-    GraphClass,
     filter_class,
     free_trees,
     random_connected_graph,
@@ -16,14 +18,27 @@ from lap1.enumeration import (
     unicyclic_graphs,
     unicyclic_in_class_G,
 )
+from lap1.graph6 import parse_graph6
 from lap1.graphs import Graph, in_class_G
 from fixtures import FREE_TREE_COUNTS, UNICYCLIC_COUNTS
 from oracles import (
     ahu_code,
     count_free_trees,
     count_unicyclic,
+    in_bound_class,
+    leaf_neighbours_have_one_leaf,
+    no_leaf_on_two_degree_two_vertices,
     prufer_tree_classes,
 )
+
+
+def adjacency_lists(g: Graph) -> list[list[int]]:
+    return [list(g.neighbors(v)) for v in range(g.n)]
+
+
+def cli_enumerate(capsys, cls: str, n: int, *flags: str) -> list[str]:
+    assert cli.main(["enumerate", "--class", cls, "--n", str(n), *flags]) == 0
+    return capsys.readouterr().out.split()
 
 
 class TestTreeEnumeration:
@@ -141,16 +156,37 @@ class TestFilters:
         sub = [canonical_form(t) for t in trees_in_class_T(8)]
         assert [f for f in all8 if f in set(sub)] == sub
 
-    def test_unknown_filter_rejected(self):
-        with pytest.raises(ValueError):
-            GraphClass("tree", frozenset({"sparkly"}))
-        with pytest.raises(ValueError):
-            GraphClass("heptagonal")
+    def test_class_lists_match_the_oracle(self):
+        for n, family, members in [
+            *((n, free_trees, trees_in_class_T) for n in range(1, 13)),
+            *((n, unicyclic_graphs, unicyclic_in_class_G) for n in range(3, 11)),
+        ]:
+            want = [canonical_form(g) for g in family(n)
+                    if in_bound_class(adjacency_lists(g))]
+            assert [canonical_form(g) for g in members(n)] == want, (family, n)
 
-    def test_any_connected_base(self):
-        cls = GraphClass("any-connected")
-        graphs = [Graph(3, [(0, 1)]), Graph(3, [(0, 1), (1, 2)])]
-        assert [g.edge_count for g in filter_class(graphs, cls)] == [2]
+    @pytest.mark.parametrize("cls, n", [("tree", 10), ("unicyclic", 9)])
+    def test_cli_filters_match_the_oracle(self, capsys, cls, n):
+        reduced = leaf_neighbours_have_one_leaf
+        no_p3 = no_leaf_on_two_degree_two_vertices
+        everything = cli_enumerate(capsys, cls, n)
+        for spec, keep in [
+            ("reduced", reduced),
+            ("noP3", no_p3),
+            ("nop3", no_p3),
+            ("no-pendant-P3", no_p3),
+            ("reduced,noP3", in_bound_class),
+            ("no-pendant-P3,reduced", in_bound_class),
+        ]:
+            want = [s for s in everything
+                    if keep(adjacency_lists(parse_graph6(s)))]
+            assert cli_enumerate(capsys, cls, n, "--filter", spec) == want, spec
+
+    def test_filter_class_streams_what_keep_accepts(self):
+        graphs = [Graph(3, [(0, 1)]), Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])]
+        kept = filter_class(iter(graphs), lambda g: g.is_connected())
+        assert isinstance(kept, types.GeneratorType)
+        assert list(kept) == graphs[1:]
 
 
 class TestRandomGraphs:

@@ -1,15 +1,17 @@
-"""Extremal generators against the enumeration oracle."""
+"""Extremal generators, and the verify suites that check them against the
+enumerated class."""
 
 from __future__ import annotations
 
 import pytest
 
+import lap1.verify as verify
 from lap1.canon import canonical_form
+from lap1.enumeration import trees_in_class_T, unicyclic_in_class_G
 from lap1.extremal import (
     ExtremalSpec,
     extremal_tree,
     extremal_unicyclic,
-    find_extremal_by_enumeration,
     tree_gadget_vertices,
 )
 from lap1.graphs import in_class_G, spider
@@ -27,15 +29,6 @@ class TestExtremalTree:
             t = extremal_tree(n)
             assert t.n == n and t.is_tree() and in_class_G(t)
             assert 4 * m1(t) == n - 6
-
-    def test_matches_enumeration(self):
-        for n in (6, 10):
-            hits = find_extremal_by_enumeration(n, "tree")
-            assert len(hits) == 1
-            assert canonical_form(hits[0]) == canonical_form(extremal_tree(n))
-
-    def test_non_integer_bound_has_no_extremal(self):
-        assert find_extremal_by_enumeration(8, "tree") == []
 
     def test_gadget_peeling_recursion(self):
         for n in (10, 14, 18):
@@ -61,11 +54,6 @@ class TestExtremalUnicyclic:
             g = extremal_unicyclic(n)
             assert 4 * m1(g) == n and in_class_G(g)
 
-    def test_matches_enumeration_at_twelve(self):
-        hits = find_extremal_by_enumeration(12, "unicyclic")
-        assert len(hits) == 1
-        assert canonical_form(hits[0]) == canonical_form(extremal_unicyclic(12))
-
     def test_validation(self):
         for bad in (10, 14, 8, 9):
             with pytest.raises(ValueError):
@@ -79,6 +67,23 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExtremalSpec("grid", 12)
 
-    def test_find_extremal_validates_family(self):
-        with pytest.raises(ValueError):
-            find_extremal_by_enumeration(8, "grid")
+
+# The suites compare the one class member attaining the bound with the
+# builder's graph, so a builder that makes another member is reported.
+@pytest.mark.parametrize("entry, n, builder, members, rule", [
+    pytest.param(verify.verify_thm2, 10, "extremal_tree_unverified",
+                 trees_in_class_T, "thm2-extremal", id="thm2"),
+    pytest.param(verify.verify_thm3, 12, "extremal_unicyclic_unverified",
+                 unicyclic_in_class_G, "thm3-extremal", id="thm3"),
+])
+def test_suite_rejects_another_member_as_extremal(
+    monkeypatch, entry, n, builder, members, rule
+):
+    real = getattr(verify, builder)
+    extremal = canonical_form(real(n))
+    other = next(g for g in members(n) if canonical_form(g) != extremal)
+    monkeypatch.setattr(verify, builder, lambda k: other if k == n else real(k))
+    r = entry(max_n=n)
+    assert [(v["rule"], v["graph6"], v["expected"]) for v in r.violations] == [
+        (rule, extremal, f"unique extremal {canonical_form(other)}")
+    ]

@@ -87,6 +87,18 @@ class TestSuites:
             lo = lows[r.suite]
             assert r.n_range == (lo, max(max_n, lo))
 
+    def test_n_range_ends_where_the_source_does(self, monkeypatch):
+        # the enumerations stop at MAX_TREE_N and MAX_UNICYCLIC_N whatever
+        # max_n asks for; thm1's random graphs reach max_n itself
+        monkeypatch.setattr(verify, "MAX_TREE_N", 8)
+        monkeypatch.setattr(verify, "MAX_UNICYCLIC_N", 6)
+        r = verify_thm2(max_n=12)
+        assert (r.n_range, r.graphs_checked) == ((6, 8), 4)
+        assert "n in 6..8," in r.summary()
+        assert verify_thm3(max_n=12).n_range == (3, 6)
+        assert verify_lemmas(max_n=12).n_range == (1, 8)
+        assert verify_thm1(max_n=12, n_random=3).n_range == (1, 12)
+
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         # workers fork at the first submit, so --jobs 10000 must not
         # ask for 10000 of them; the fake pool maps in this process
@@ -398,6 +410,20 @@ class TestCli:
         monkeypatch.setenv("LAP1_MAX_N", "8")
         assert cli.main(["mult", "--g6", g6]) == 0
         capsys.readouterr()
+
+    def test_env_cap_covers_the_orders_verify_reaches(self, capsys, monkeypatch):
+        # without --max-n thm2 runs to its default order 14, and it raises
+        # --max-n 5 to its lowest order 6; all runs thm1 to order 12
+        monkeypatch.setenv("LAP1_MAX_N", "5")
+        for argv in (["verify", "thm2"], ["verify", "thm2", "--max-n", "5"]):
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "LAP1_MAX_N=5" in captured.err
+        monkeypatch.setenv("LAP1_MAX_N", "9")
+        assert cli.main(["verify", "all", "--random-graphs", "1"]) == 2
+        assert capsys.readouterr().out == ""
+        assert cli.main(["verify", "thm2", "--max-n", "9"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_range"] == [6, 9]
 
     def test_file_with_several_graphs_rejected(self, tmp_path, capsys):
         path = tmp_path / "many.g6"
