@@ -325,10 +325,6 @@ def _positions(g: Graph) -> list[int]:
     return pos
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(_positions(g))
-
-
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: the edges written straight in canonical
     positions, without building the relabelled graph."""

@@ -16,7 +16,6 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .canon import canonical_form
 from .enumeration import (
     MAX_TREE_N,
     MAX_UNICYCLIC_N,
@@ -35,12 +34,10 @@ from .graph6 import (
 from .graphs import Graph, find_pendant_paths, is_reduced, pendant_profile
 from .linalg import laplacian_multiplicity_one
 from .reduction import (
-    ReductionStep,
     ReductionTrace,
-    PENDANT_CLUSTER,
     final_reduction_graph,
     multiplicity_fast,
-    reduced_graph,
+    reduced_graph_steps,
 )
 from .verify import SUITES, run_suite, suite_max_n
 
@@ -89,12 +86,12 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _check_graph6_order(g: Graph) -> None:
-    """Traces and reduce reports carry graph6, so an order it cannot
-    encode is rejected before any route runs."""
+    """Reduce reports carry graph6, so an order it cannot encode is
+    rejected before any reduction runs."""
     if g.n > GRAPH6_MAX_N:
         raise UsageError(
             f"n={g.n} exceeds {GRAPH6_MAX_N}, the largest order graph6"
-            " encodes; only mult --method exact accepts it"
+            " encodes; mult accepts it"
         )
 
 
@@ -138,8 +135,6 @@ def _emit(payload: dict | list, args: argparse.Namespace) -> None:
 
 def _cmd_mult(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if args.method != "exact":
-        _check_graph6_order(g)
     prof = pendant_profile(g)
     payload: dict = {"n": g.n, "p": prof.p, "q": prof.q, "method": args.method}
     code = EXIT_OK
@@ -171,22 +166,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     _check_graph6_order(g)
     input_g6 = to_graph6(g)
-    if args.to == "final":
-        result, steps = final_reduction_graph(g)
-        offset = 0
-    else:
-        result, offset = reduced_graph(g)
-        steps = ()
-        if offset:
-            before, after = canonical_form(g), canonical_form(result)
-            steps = (ReductionStep(PENDANT_CLUSTER, before, after, offset),)
-    trace = ReductionTrace(input_g6, steps, offset)
+    reduce = final_reduction_graph if args.to == "final" else reduced_graph_steps
+    result, steps = reduce(g)
+    offset = sum(s.offset for s in steps)
+    trace = ReductionTrace(g, steps, offset).to_json()
+    for step, js in zip(steps, trace["steps"]):
+        js.update(before_g6=step.before, after_g6=step.after)
     _emit(
         {
             "input_g6": input_g6,
             "graph6": to_graph6(result),
             "offset": offset,
-            "trace": trace.to_json(),
+            "trace": trace,
         },
         args,
     )

@@ -87,15 +87,6 @@ def extremal_tree(n: int) -> Graph:
     return _verified(extremal_tree_unverified(n), ExtremalSpec("tree", n).k)
 
 
-def tree_gadget_vertices(n: int) -> tuple[int, ...]:
-    """The designated 4-vertex gadget of extremal_tree(n): deleting it
-    drops the multiplicity by exactly 1 (empty for n = 6)."""
-    spec = ExtremalSpec("tree", n)
-    if spec.k == 0:
-        return ()
-    return (0, 1, 2, 3 * spec.k + 5)
-
-
 def extremal_unicyclic_unverified(n: int) -> Graph:
     """The sun of `extremal_unicyclic`, built without re-checking it:
     cycle C_{3k} (vertices 0..3k-1 in cycle order) with pendant 3k+j on

@@ -73,9 +73,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((len(a) for a in self._nbrs), reverse=True))
-
     # -- derived graphs -----------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
@@ -107,10 +104,6 @@ class Graph:
             if u in remap and v in remap
         ]
         return Graph._unchecked(len(keep), edges), remap
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        keepset = set(vertices)
-        return self.delete_vertices(v for v in range(self.n) if v not in keepset)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabel with perm[old] = new; perm must be a permutation of 0..n-1."""
@@ -148,33 +141,6 @@ class Graph:
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
-
-    def is_unicyclic(self) -> bool:
-        return self.is_connected() and self.edge_count == self.n
-
-    def distances_from(self, s: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in self._nbrs[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def diameter(self) -> int:
-        if self.n == 0:
-            raise ValueError("diameter of the empty graph is undefined")
-        best = 0
-        for s in range(self.n):
-            dist = self.distances_from(s)
-            far = max(dist)
-            if min(dist) < 0:
-                raise ValueError("diameter requires a connected graph")
-            best = max(best, far)
-        return best
 
     # -- dunder ---------------------------------------------------------
 

@@ -53,23 +53,8 @@ class IntMatrix:
         self.rows = len(rows)
         self.cols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
 
     def __eq__(self, other: object) -> bool:
         return (

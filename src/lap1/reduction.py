@@ -29,19 +29,26 @@ mutable work state instead of rebuilding the graph: adjacency sets, the
 pendants of each quasi-pendant, a tree flag per component and a heap of
 pendant P_3s keyed on input labels.  A step costs time in proportion to
 the vertices it deletes and their neighbours, so a run is
-O((n + m) log n).  Its trace keeps the input and the input labels each
-step deleted, and rebuilds a step's graph, then its canonical form, only
-when a string is read.
+O((n + m) log n).
+
+A trace records what each step deleted, not the graphs: a rewrite keeps
+the sorted input labels it deleted, a terminal rule the input labels of
+its component and its residual.  Its JSON is the input as an edge list,
+then {rule, vertices, offset} per step and the total, all O(n + m), with
+no canonical labelling.  A step's `before` and `after` rebuild its graph
+from the input and label it on every read; only `lap1 reduce`, whose
+traces are small, writes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .canon import canonical_form
-from .graph6 import to_graph6
+from .graph6 import write_edge_list
 from .graphs import (
     Graph,
     PathLocation,
@@ -63,83 +70,46 @@ CYCLE_CLOSED_FORM = "CycleClosedForm"
 EXACT_RANK_FALLBACK = "ExactRankFallback"
 
 
-class _Lazy:
-    """A trace string made as make(*args) on first read, then kept.  The
-    arguments are dropped once the string exists, and steps that hold the
-    same _Lazy share one string, so each graph is labelled at most once.
-    It compares and hashes as its string."""
-
-    __slots__ = ("make", "args", "text")
-
-    def __init__(self, make: Callable[..., str], *args: object) -> None:
-        self.make = make
-        self.args = args
-        self.text: str | None = None
-
-    def __str__(self) -> str:
-        if self.text is None:
-            self.text = self.make(*self.args)
-            self.make = self.args = None
-        return self.text
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (str, _Lazy)):
-            return str(self) == str(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(str(self))
-
-    def __repr__(self) -> str:
-        return repr(str(self))
-
-
 @dataclass(frozen=True)
 class ReductionStep:
-    """One rule application: its rule, the canonical forms of the graph
-    before and after it, and its offset to the multiplicity.  A form given
-    as a `_Lazy` is made when `before` or `after` is first read, or in
-    `to_json`, so a caller that reads only rules and offsets labels
-    nothing."""
+    """One rule application: its rule, the vertices it names and its
+    offset to the multiplicity.  A rewrite names the input labels it
+    deleted, sorted, and a terminal rule the input labels of its
+    component, with the residual as its offset.  `before` and `after`
+    are the canonical forms of the graph before and after the step,
+    rebuilt on every read and never kept."""
 
     rule: str
-    _before: str | _Lazy
-    _after: str | _Lazy
+    vertices: tuple[int, ...]
     offset: int
+    _before: Callable[[], str] = field(compare=False, repr=False)
+    _after: Callable[[], str] = field(compare=False, repr=False)
 
     @property
     def before(self) -> str:
-        return str(self._before)
+        return self._before()
 
     @property
     def after(self) -> str:
-        return str(self._after)
+        return self._after()
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "before_g6": self.before,
-            "after_g6": self.after,
-            "offset": self.offset,
-        }
+        return {"rule": self.rule, "vertices": list(self.vertices),
+                "offset": self.offset}
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """The steps of one pipeline run and their total.  `input_g6`, like
-    the steps' forms, is made on first read or in `to_json`."""
+    """The input of one run, its steps and their total.  The JSON holds
+    the input once, as an edge list, so it costs O(n + m)."""
 
-    _input: str | _Lazy
+    graph: Graph
     steps: tuple[ReductionStep, ...]
     total: int
 
-    @property
-    def input_g6(self) -> str:
-        return str(self._input)
-
     def to_json(self) -> dict:
         return {
-            "input_g6": self.input_g6,
+            "input_edge_list": write_edge_list(self.graph),
             "steps": [s.to_json() for s in self.steps],
             "total": self.total,
         }
@@ -147,18 +117,21 @@ class ReductionTrace:
 
 # -- individual operations ------------------------------------------------
 
-def reduced_graph(g: Graph) -> tuple[Graph, int]:
-    """Delete pendants until every quasi-pendant keeps exactly one (the
-    lowest-indexed).  Returns the reduced graph and the offset p - q."""
+def _surplus_pendants(g: Graph) -> list[int]:
+    """The pendants of each quasi-pendant but its lowest-indexed one,
+    sorted: p - q vertices."""
     prof = pendant_profile(g)
-    drop = []
     by_owner: dict[int, list[int]] = {}
     for pend in prof.pendants:
         by_owner.setdefault(prof.pendant_owner[pend], []).append(pend)
-    for owner, pends in by_owner.items():
-        drop.extend(sorted(pends)[1:])
-    reduced, _ = g.delete_vertices(drop)
-    return reduced, prof.p - prof.q
+    return sorted(v for pends in by_owner.values() for v in pends[1:])
+
+
+def reduced_graph(g: Graph) -> tuple[Graph, int]:
+    """Delete pendants until every quasi-pendant keeps exactly one (the
+    lowest-indexed).  Returns the reduced graph and the offset p - q."""
+    drop = _surplus_pendants(g)
+    return g.delete_vertices(drop)[0], len(drop)
 
 
 def reduction_operation(g: Graph, u: int, v: int) -> Graph:
@@ -192,10 +165,11 @@ def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     """Apply the reduction operation until no quasi-pendant vertex has
     degree greater than 2, with one ReductionOperation step per
     application.  Each application removes one such vertex and creates
-    only degree-2 quasi-pendants, so this terminates within q(g) steps."""
+    only degree-2 quasi-pendants, so this terminates within q(g) steps.
+    A step names its pendant and that pendant's neighbour, in the labels
+    of the graph before it."""
     steps: list[ReductionStep] = []
     cur = g
-    form = _Lazy(canonical_form, cur)
     while True:
         prof = pendant_profile(cur)
         target = next(
@@ -204,9 +178,22 @@ def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
         if target is None:
             return cur, tuple(steps)
         u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
-        cur = reduction_operation(cur, u, target)
-        before, form = form, _Lazy(canonical_form, cur)
-        steps.append(ReductionStep(REDUCTION_OPERATION, before, form, 0))
+        before, cur = cur, reduction_operation(cur, u, target)
+        steps.append(ReductionStep(REDUCTION_OPERATION, (u, target), 0,
+                                   partial(canonical_form, before),
+                                   partial(canonical_form, cur)))
+
+
+def reduced_graph_steps(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
+    """`reduced_graph` with its one PendantCluster step, none when g is
+    reduced already."""
+    drop = tuple(_surplus_pendants(g))
+    result = g.delete_vertices(drop)[0]
+    if not drop:
+        return result, ()
+    return result, (ReductionStep(PENDANT_CLUSTER, drop, len(drop),
+                                  partial(canonical_form, g),
+                                  partial(canonical_form, result)),)
 
 
 def _check_pendant_p3(g: Graph, path: PathLocation) -> None:
@@ -305,8 +292,9 @@ def cycle_multiplicity_one(n: int) -> int:
 
 class _Replay:
     """The graphs of one pipeline run, rebuilt from its input and the
-    input labels each step deleted: graph i is the input minus the first
-    i deletions, survivors in their input order."""
+    vertices its steps name: graph i is the input minus the first i
+    deletions, survivors in their input order, and a terminal step's
+    graph is the input's subgraph on its component."""
 
     __slots__ = ("g", "deleted")
 
@@ -314,13 +302,13 @@ class _Replay:
         self.g = g
         self.deleted: list[tuple[int, ...]] = []
 
-    def graph(self, i: int) -> Graph:
-        if not i:
-            return self.g
-        return self.g.delete_vertices(set().union(*self.deleted[:i]))[0]
-
     def form(self, i: int) -> str:
-        return canonical_form(self.graph(i))
+        drop = set().union(*self.deleted[:i])
+        return canonical_form(self.g.delete_vertices(drop)[0])
+
+    def component_form(self, vs: tuple[int, ...]) -> str:
+        drop = set(range(self.g.n)).difference(vs)
+        return canonical_form(self.g.delete_vertices(drop)[0])
 
 
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
@@ -413,7 +401,6 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
 
     replay = _Replay(g)
     steps: list[ReductionStep] = []
-    cur_form = _Lazy(replay.form, 0)
     total = 0
     while True:
         if crowded:
@@ -431,11 +418,13 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
                 break
             drop, rule, offset = heappop(heap), DELETE_PENDANT_P3, 0
         delete(drop)
-        replay.deleted.append(tuple(drop))
-        nxt_form = _Lazy(replay.form, len(replay.deleted))
-        steps.append(ReductionStep(rule, cur_form, nxt_form, offset))
+        vertices = tuple(sorted(drop))
+        replay.deleted.append(vertices)
+        i = len(replay.deleted)
+        steps.append(ReductionStep(rule, vertices, offset,
+                                   partial(replay.form, i - 1),
+                                   partial(replay.form, i)))
         total += offset
-        cur_form = nxt_form
 
     # Components never split, so the final ones are those met so far,
     # shrunk, in the order of their lowest vertex.
@@ -454,7 +443,6 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
         else:
             sub = Graph._unchecked(len(vs), [
                 (local[v], local[w]) for v in vs for w in adj[v] if v < w])
-        form = cur_form if len(parts) == 1 else _Lazy(canonical_form, sub)
         if is_star_like(sub):
             rule, residual = STAR_LIKE_ZERO, 0
         elif is_double_star_like(sub):
@@ -463,6 +451,8 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
             rule, residual = CYCLE_CLOSED_FORM, cycle_multiplicity_one(sub.n)
         else:
             rule, residual = EXACT_RANK_FALLBACK, multiplicity_one_by_peeling(sub)
-        steps.append(ReductionStep(rule, form, form, residual))
+        vertices = tuple(vs)
+        form = partial(replay.component_form, vertices)
+        steps.append(ReductionStep(rule, vertices, residual, form, form))
         total += residual
-    return total, ReductionTrace(_Lazy(to_graph6, g), tuple(steps), total)
+    return total, ReductionTrace(g, tuple(steps), total)

@@ -163,9 +163,11 @@ def _map_graphs(fn, items: list, jobs: int) -> list:
 # -- graph sources ----------------------------------------------------------
 #
 # A source maps (max_n, seed, n_random) to the highest order it reaches,
-# which ends the report's n_range, and a stream of its graphs.
+# which ends the report's n_range, and a stream of its graphs.  A source
+# whose top depends on what it draws gives None, and the report ends at
+# the largest order checked.
 
-Source = tuple[int, Iterator[Graph]]
+Source = tuple[int | None, Iterator[Graph]]
 
 
 def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Source:
@@ -186,9 +188,9 @@ def _random_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
 
 
 def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Source:
-    """Random graphs reach every order up to max_n."""
+    """Random graphs may reach any order up to max_n."""
     _, enumerated = _trees_and_unicyclic(max_n, seed, n_random)
-    return max_n, chain(enumerated, _random_graphs(max_n, seed, n_random))
+    return None, chain(enumerated, _random_graphs(max_n, seed, n_random))
 
 
 def _class_T(max_n: int, seed: int, n_random: int) -> Source:
@@ -409,6 +411,8 @@ def _run(
     t0 = time.monotonic()
     top, source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
     graphs = [(to_graph6(g), g.n) for g in source]
+    if top is None:
+        top = max((n for _, n in graphs), default=suite.lo)
     results = _map_graphs(suite.check, [g6 for g6, _ in graphs], jobs)
     violations = [v for _, viol in results for v in viol]
     extra = 0

@@ -20,6 +20,12 @@ def caterpillar(k: int) -> Graph:
     return Graph(4 * k + 6, edges)
 
 
+def caterpillar_gadget(k: int) -> tuple[int, ...]:
+    """Four vertices of caterpillar(k), k >= 1, whose deletion leaves
+    caterpillar(k - 1) and drops the multiplicity by exactly 1."""
+    return (0, 1, 2, 3 * k + 5)
+
+
 def sun(k: int) -> Graph:
     """C_{3k} with a pendant on every third cycle vertex: order 4k,
     multiplicity k."""
@@ -85,3 +91,17 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def induced(g: Graph, vertices) -> Graph:
+    """The subgraph on vertices, survivors in their order in g."""
+    keep = set(vertices)
+    return g.delete_vertices(v for v in range(g.n) if v not in keep)[0]
+
+
+def is_unicyclic(g: Graph) -> bool:
+    return g.is_connected() and g.edge_count == g.n
+
+
+def degree_sequence(g: Graph) -> list[int]:
+    return sorted(map(g.degree, range(g.n)))

@@ -308,3 +308,139 @@ def count_unicyclic(n: int) -> int:
         total += Fraction(zc + refl, 2)
     assert total.denominator == 1
     return int(total)
+
+
+# -- reduction traces ----------------------------------------------------------
+
+def _component(adj: list[set[int]], s: int) -> set[int]:
+    seen, stack = {s}, [s]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _is_tree(adj: list[set[int]], comp: set[int]) -> bool:
+    return sum(len(adj[v]) for v in comp) == 2 * len(comp) - 2
+
+
+def _surplus_pendants(adj: list[set[int]], alive: set[int]) -> list[int]:
+    """Each owner's pendants but its lowest, sorted."""
+    by_owner = defaultdict(list)
+    for v in sorted(alive):
+        if len(adj[v]) == 1:
+            by_owner[next(iter(adj[v]))].append(v)
+    return sorted(v for pends in by_owner.values() for v in pends[1:])
+
+
+def _is_tree_pendant_p3(adj: list[set[int]], vs: set[int]) -> bool:
+    """vs is {tip, middle, attachment}: a leaf, its degree-2 neighbour and
+    that one's other neighbour, of degree 2 too, in a tree component."""
+    for tip in vs:
+        if len(adj[tip]) != 1:
+            continue
+        (mid,) = adj[tip]
+        if mid in vs and len(adj[mid]) == 2:
+            (att,) = adj[mid] - {tip}
+            if vs == {tip, mid, att} and len(adj[att]) == 2:
+                return _is_tree(adj, _component(adj, tip))
+    return False
+
+
+def _legs_of_two(adj: list[set[int]], centre: int, skip: int) -> int:
+    """The number of legs of two vertices hanging from centre, not counting
+    skip, or -1 if some other neighbour does not start such a leg."""
+    legs = [w for w in adj[centre] if w != skip]
+    for w in legs:
+        if len(adj[w]) != 2 or any(len(adj[x]) != 1 for x in adj[w] - {centre}):
+            return -1
+    return len(legs)
+
+
+def _terminal_rule(adj: list[set[int]], comp: set[int]) -> str:
+    n = len(comp)
+    if _is_tree(adj, comp):
+        # star-like: s >= 2 legs of two on one centre; double star-like:
+        # two adjacent centres with s, t >= 2 such legs each
+        if any(2 * _legs_of_two(adj, c, -1) + 1 == n >= 5 for c in comp):
+            return "StarLikeZero"
+        for u in comp:
+            for v in adj[u]:
+                s, t = _legs_of_two(adj, u, v), _legs_of_two(adj, v, u)
+                if s >= 2 and t >= 2 and 2 * (s + t) + 2 == n:
+                    return "DoubleStarLikeZero"
+    if n >= 3 and all(len(adj[v]) == 2 for v in comp):
+        return "CycleClosedForm"
+    return "ExactRankFallback"
+
+
+def _nullity_of_l_minus_i(adj: list[set[int]], comp: set[int]) -> int:
+    order = sorted(comp)
+    rows = [[(len(adj[u]) - 1 if u == v else -(v in adj[u])) for v in order]
+            for u in order]
+    return len(order) - fraction_rank(rows)
+
+
+def trace_faults(trace: dict) -> list[str]:
+    """Replays a trace's JSON (the input as an edge list, then
+    {rule, vertices, offset} per step, then the total) on plain adjacency
+    sets, and returns what is wrong with it: a PendantCluster step that
+    deletes other than each owner's pendants but the lowest, a
+    DeletePendantP3 step that deletes no pendant P_3 of a tree component
+    or runs while pendants are in surplus, terminal steps that do not
+    follow the components of what is left (in the order of their lowest
+    vertex) or start while a rewrite still applies, a terminal rule that
+    does not match its component's shape, an offset that is not the
+    nullity of L - I, and a wrong total."""
+    head, *lines = trace["input_edge_list"].splitlines()
+    n, m = map(int, head.split())
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for line in lines:
+        u, v = map(int, line.split())
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(lines) != m:
+        return [f"edge list: {len(lines)} edges, header says {m}"]
+    alive = set(range(n))
+    faults = []
+    steps = trace["steps"]
+    rewrites = [s for s in steps if s["rule"] in ("PendantCluster", "DeletePendantP3")]
+    if steps[:len(rewrites)] != rewrites:
+        return ["a rewrite step follows a terminal step"]
+    for i, step in enumerate(rewrites):
+        vs, surplus = step["vertices"], _surplus_pendants(adj, alive)
+        if step["rule"] == "PendantCluster":
+            if not surplus or vs != surplus or step["offset"] != len(vs):
+                faults.append(f"step {i}: {vs} are not the surplus pendants {surplus}")
+        elif surplus or step["offset"] or not _is_tree_pendant_p3(adj, set(vs)):
+            faults.append(f"step {i}: {vs} is no pendant P_3 of a tree component")
+        if len(set(vs)) != len(vs) or not alive.issuperset(vs):
+            return faults + [f"step {i}: {vs} are not distinct live vertices"]
+        alive.difference_update(vs)
+        for v in vs:
+            for w in adj[v]:
+                adj[w].discard(v)
+            adj[v] = set()
+    if _surplus_pendants(adj, alive) or any(
+            _is_tree_pendant_p3(adj, {tip, mid, att})
+            for tip in alive if len(adj[tip]) == 1
+            for mid in adj[tip] for att in adj[mid] - {tip}):
+        faults.append("the terminal rules start while a rewrite applies")
+    comps = []
+    for v in sorted(alive):
+        if not any(v in c for c in comps):
+            comps.append(_component(adj, v))
+    terminals = steps[len(rewrites):]
+    if [sorted(c) for c in comps] != [s["vertices"] for s in terminals]:
+        return faults + ["the terminal steps are not the components left"]
+    for step, comp in zip(terminals, comps):
+        rule = _terminal_rule(adj, comp)
+        nullity = _nullity_of_l_minus_i(adj, comp)
+        if (step["rule"], step["offset"]) != (rule, nullity):
+            faults.append(f"component {step['vertices']}: {step['rule']} with"
+                          f" offset {step['offset']}, want {rule} with {nullity}")
+    if trace["total"] != sum(s["offset"] for s in steps):
+        faults.append(f"total {trace['total']} is not the sum of the offsets")
+    return faults

@@ -12,10 +12,10 @@ from lap1.extremal import (
     ExtremalSpec,
     extremal_tree,
     extremal_unicyclic,
-    tree_gadget_vertices,
 )
 from lap1.graphs import in_class_G, spider
 from lap1.linalg import laplacian_multiplicity_one as m1
+from families import caterpillar_gadget, is_unicyclic
 
 
 class TestExtremalTree:
@@ -33,7 +33,7 @@ class TestExtremalTree:
     def test_gadget_peeling_recursion(self):
         for n in (10, 14, 18):
             t = extremal_tree(n)
-            peeled, _ = t.delete_vertices(tree_gadget_vertices(n))
+            peeled, _ = t.delete_vertices(caterpillar_gadget((n - 6) // 4))
             assert m1(t) == 1 + m1(peeled)
             assert canonical_form(peeled) == canonical_form(extremal_tree(n - 4))
 
@@ -46,7 +46,7 @@ class TestExtremalTree:
 class TestExtremalUnicyclic:
     def test_sun_at_twelve(self):
         g = extremal_unicyclic(12)
-        assert g.n == 12 and g.is_unicyclic() and in_class_G(g)
+        assert g.n == 12 and is_unicyclic(g) and in_class_G(g)
         assert m1(g) == 3
 
     def test_attains_bound(self):

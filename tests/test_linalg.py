@@ -56,7 +56,8 @@ class TestMatrices:
         for g in [spider([3, 2, 1]), cycle_graph(8), star_graph(6)]:
             lap = laplacian(g)
             adj = adjacency(g)
-            assert lap.is_symmetric() and adj.is_symmetric()
+            assert lap.data == tuple(zip(*lap.data))
+            assert adj.data == tuple(zip(*adj.data))
             assert all(sum(row) == 0 for row in lap.data)
             assert all(adj.data[i][i] == 0 for i in range(g.n))
 
@@ -67,8 +68,8 @@ class TestMatrices:
 class TestRank:
     def test_examples(self):
         assert rank(IntMatrix([[0, -1, 0], [-1, 1, -1], [0, -1, 0]])) == 2
-        assert rank(IntMatrix.identity(5)) == 5
-        assert rank(IntMatrix.zeros(4, 4)) == 0
+        assert rank(IntMatrix([[int(i == j) for j in range(5)] for i in range(5)])) == 5
+        assert rank(IntMatrix([[0] * 4] * 4)) == 0
         assert rank(IntMatrix([], cols=0)) == 0
 
     @given(
@@ -124,8 +125,8 @@ class TestRank:
             assert got == fraction_rank(rows) and got <= k
 
     def test_zero_lines_and_wide_and_tall_shapes(self):
-        assert rank(IntMatrix.zeros(3, 7)) == 0
-        assert rank(IntMatrix.zeros(0, 5)) == 0
+        assert rank(IntMatrix([[0] * 7] * 3)) == 0
+        assert rank(IntMatrix([], cols=5)) == 0
         rng = random.Random(37)
         for r, c in ((1, 12), (12, 1), (3, 20), (20, 3), (2, 2), (9, 9)):
             for _ in range(20):

@@ -11,6 +11,8 @@ import tracemalloc
 
 import pytest
 
+import lap1.canon as canon
+import lap1.graph6 as graph6
 import lap1.linalg as linalg
 import lap1.reduction as reduction
 from lap1.canon import canonical_form
@@ -42,13 +44,26 @@ from lap1.reduction import (
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
 from lap1.extremal import extremal_tree, extremal_unicyclic
-from lap1.graph6 import parse_graph6, to_graph6
-from families import caterpillar, prufer_tree, relabelled, sun
+from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
+from families import caterpillar, induced, prufer_tree, relabelled, sun
 from fixtures import TRACES
+from oracles import trace_faults
 
 
 def iso(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
+
+
+def with_forms(trace: reduction.ReductionTrace) -> dict:
+    """The trace in the JSON format of the canonical-form traces: the
+    input in graph6 and each step's forms before and after it, rebuilt
+    from the input and the vertices the steps name."""
+    return {
+        "input_g6": to_graph6(trace.graph),
+        "steps": [{"rule": s.rule, "before_g6": s.before, "after_g6": s.after,
+                   "offset": s.offset} for s in trace.steps],
+        "total": trace.total,
+    }
 
 
 class TestReducedGraph:
@@ -375,8 +390,7 @@ class TestMultiplicityFast:
         assert orders == [5]
 
     def test_large_extremal_shapes_within_time(self):
-        # deep tree codes, a long cycle of hanging trees, and graph6
-        # strings of 8 MB for the trace
+        # a long spine and a long cycle of hanging trees, at order 10^4
         rng = random.Random(29)
         for build, k in ((caterpillar, 2500), (sun, 2500)):
             g = build(k)
@@ -387,9 +401,9 @@ class TestMultiplicityFast:
             assert time.perf_counter() - t0 < 5.0
 
     def test_library_reaches_order_ten_to_the_five(self):
-        # an unread trace makes no canonical form, so no graph6 string of
-        # n(n - 1)/12 characters (830 MB here) is ever built; the random
-        # tree takes thousands of P_3 and cluster steps
+        # the trace labels no graph, so no graph6 string of n(n - 1)/12
+        # characters (830 MB here) is ever built; the random tree takes
+        # thousands of P_3 and cluster steps
         tree = prufer_tree(100000, random.Random(3))
         for g, k in ((extremal_tree(100006), 25000),
                      (extremal_unicyclic(100000), 25000),
@@ -408,26 +422,25 @@ class TestMultiplicityFast:
         assert len(trace.steps) > 100
         assert m == m1(g)
 
-    def test_trace_labels_each_graph_once_and_only_when_read(self, monkeypatch):
-        real = reduction.canonical_form
-        labelled, encoded = [], []
-        monkeypatch.setattr(reduction, "canonical_form",
-                            lambda g: labelled.append(g) or real(g))
-        monkeypatch.setattr(reduction, "to_graph6",
-                            lambda g: encoded.append(g) or to_graph6(g))
+    def test_trace_json_labels_and_encodes_nothing(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("a trace labelled or encoded a graph")
+
         g = spider([3, 3, 2, 1, 1])
         m, trace = multiplicity_fast(g)
-        assert [s.rule for s in trace.steps] == [
-            "PendantCluster", "DeletePendantP3", "DeletePendantP3",
-            "DeletePendantP3", "ExactRankFallback"]
-        assert labelled == encoded == []
+        for module, name in ((reduction, "canonical_form"),
+                             (canon, "encode_graph6"),
+                             (graph6, "encode_graph6"), (graph6, "to_graph6")):
+            monkeypatch.setattr(module, name, forbidden)
         payload = trace.to_json()
-        # five graphs: the input, three rewrites and the terminal one,
-        # whose form the last step holds as both before and after
-        assert [h.n for h in labelled] == [11, 10, 7, 4, 1]
-        assert encoded == [g]
-        assert trace.to_json() == payload
-        assert len(labelled) == 5 and len(encoded) == 1
+        assert [(s["rule"], s["vertices"]) for s in payload["steps"]] == [
+            ("PendantCluster", [10]), ("DeletePendantP3", [1, 2, 3]),
+            ("DeletePendantP3", [4, 5, 6]), ("DeletePendantP3", [0, 7, 8]),
+            ("ExactRankFallback", [9])]
+        assert payload["input_edge_list"] == write_edge_list(g)
+        monkeypatch.undo()
+        # the forms are still there for a caller that reads them
+        assert [s.after for s in trace.steps][-2:] == ["@", "@"]
 
     def test_agreement_on_random_graphs(self):
         rng = random.Random(11)
@@ -461,22 +474,15 @@ class TestMultiplicityFast:
                 path = next(
                     p
                     for p in find_pendant_paths(cur, 3)
-                    if cur.induced_subgraph(
-                        cur.components()[
-                            next(
-                                ci
-                                for ci, comp in enumerate(cur.components())
-                                if p.vertices[0] in comp
-                            )
-                        ]
-                    )[0].is_tree()
+                    if induced(cur, next(c for c in cur.components()
+                                         if p.vertices[0] in c)).is_tree()
                 )
                 cur = cur.delete_vertices(path.vertices)[0]
             assert canonical_form(cur) == step.after
             si += 1
         terminal_forms = sorted(s.before for s in trace.steps[si:])
         comp_forms = sorted(
-            canonical_form(cur.induced_subgraph(comp)[0]) for comp in cur.components()
+            canonical_form(induced(cur, comp)) for comp in cur.components()
         )
         assert terminal_forms == comp_forms
 
@@ -515,16 +521,20 @@ class TestMultiplicityFast:
     def test_trace_json_schema(self):
         m, trace = multiplicity_fast(star_graph(3))
         payload = trace.to_json()
-        assert set(payload) == {"input_g6", "steps", "total"}
+        assert set(payload) == {"input_edge_list", "steps", "total"}
+        assert read_edge_list(payload["input_edge_list"]) == star_graph(3)
         assert payload["total"] == m
         for step in payload["steps"]:
-            assert set(step) == {"rule", "before_g6", "after_g6", "offset"}
+            assert set(step) == {"rule", "vertices", "offset"}
         json.dumps(payload)  # serializable
 
     def test_traces_are_pinned(self):
+        # each trace rebuilds, byte for byte, the canonical-form trace
+        # pinned before traces recorded deletions
         for name, g6, expected in TRACES:
             trace = multiplicity_fast(parse_graph6(g6))[1]
-            assert json.dumps(trace.to_json(), sort_keys=True) == expected, name
+            assert json.dumps(with_forms(trace), sort_keys=True) == expected, name
+            assert trace_faults(trace.to_json()) == [], name
 
     def test_determinism(self):
         g = spider([3, 2, 2, 1])
@@ -567,7 +577,7 @@ def reference_trace(g: Graph) -> dict:
 
     def in_tree(h: Graph, v: int) -> bool:
         comp = next(c for c in h.components() if v in c)
-        return h.induced_subgraph(comp)[0].is_tree()
+        return induced(h, comp).is_tree()
 
     steps, total, cur = [], 0, g
     while True:
@@ -587,7 +597,7 @@ def reference_trace(g: Graph) -> dict:
         total += offset
         cur = nxt
     for comp in cur.components():
-        sub = cur.induced_subgraph(comp)[0]
+        sub = induced(cur, comp)
         if is_star_like(sub):
             rule = "StarLikeZero"
         elif is_double_star_like(sub):
@@ -646,8 +656,35 @@ def test_pipeline_matches_rebuild_every_step_reference(family):
     rng = random.Random(family)
     for i in range(80):
         g = relabelled(REFERENCE_INPUTS[family](rng, i), rng)
-        got = json.dumps(multiplicity_fast(g)[1].to_json(), sort_keys=True)
+        trace = multiplicity_fast(g)[1]
+        got = json.dumps(with_forms(trace), sort_keys=True)
         assert got == json.dumps(reference_trace(g), sort_keys=True), to_graph6(g)
+        assert trace_faults(trace.to_json()) == [], to_graph6(g)
+
+
+def test_trace_checker_rejects_forged_steps():
+    # spider(3,3,2,1,1): centre 0 keeps pendant 9 and loses 10, then three
+    # pendant P_3s go and the lone vertex 9 is left
+    payload = multiplicity_fast(spider([3, 3, 2, 1, 1]))[1].to_json()
+    assert trace_faults(payload) == []
+    forgeries = [
+        (0, {"vertices": [9]}),  # the lowest pendant is kept, not dropped
+        (0, {"offset": 2}),
+        (1, {"vertices": [0, 1, 2]}),  # not a pendant P_3
+        (1, {"rule": "PendantCluster"}),
+        (4, {"offset": 1}),  # the nullity of K_1's L - I is 0
+        (4, {"rule": "StarLikeZero"}),
+        (4, {"vertices": [9, 10]}),
+    ]
+    for i, change in forgeries:
+        forged = json.loads(json.dumps(payload))
+        forged["steps"][i].update(change)
+        forged["total"] = sum(s["offset"] for s in forged["steps"])
+        assert trace_faults(forged), (i, change)
+    for forged in (dict(payload, total=2),
+                   dict(payload, steps=payload["steps"][1:]),
+                   dict(payload, steps=payload["steps"][:3] + payload["steps"][4:])):
+        assert trace_faults(forged)
 
 
 def test_cycle_multiplicity_closed_form():

@@ -13,9 +13,10 @@ import lap1.cli as cli
 import lap1.linalg as linalg
 import lap1.verify as verify
 from lap1.canon import canonical_form
-from lap1.graph6 import parse_graph6, to_graph6, write_edge_list
-from lap1.graphs import Graph, path_graph, star_graph
+from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
+from lap1.graphs import Graph, disjoint_union, path_graph, spider, star_graph
 from lap1.linalg import laplacian_multiplicity_one
+from lap1.reduction import ReductionTrace
 from lap1.verify import (
     clear_caches,
     run_suite,
@@ -25,7 +26,7 @@ from lap1.verify import (
     verify_thm3,
 )
 import oracles
-from families import caterpillar, sun
+from families import caterpillar, is_unicyclic, petersen, prufer_tree, relabelled, sun
 
 
 def strip_runtime(report_json: dict) -> dict:
@@ -89,7 +90,7 @@ class TestSuites:
 
     def test_n_range_ends_where_the_source_does(self, monkeypatch):
         # the enumerations stop at MAX_TREE_N and MAX_UNICYCLIC_N whatever
-        # max_n asks for; thm1's random graphs reach max_n itself
+        # max_n asks for, and thm1 stops at the largest order it drew
         monkeypatch.setattr(verify, "MAX_TREE_N", 8)
         monkeypatch.setattr(verify, "MAX_UNICYCLIC_N", 6)
         r = verify_thm2(max_n=12)
@@ -97,7 +98,9 @@ class TestSuites:
         assert "n in 6..8," in r.summary()
         assert verify_thm3(max_n=12).n_range == (3, 6)
         assert verify_lemmas(max_n=12).n_range == (1, 8)
-        assert verify_thm1(max_n=12, n_random=3).n_range == (1, 12)
+        assert verify_thm1(max_n=12, n_random=0).n_range == (1, 8)
+        # seed 0 draws random graphs of orders 7, 9 and 10
+        assert verify_thm1(max_n=12, n_random=3).n_range == (1, 10)
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         # workers fork at the first submit, so --jobs 10000 must not
@@ -294,13 +297,45 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert (out["method"], out["m1"]) == ("both", k)
 
+    def test_mult_traces_pass_the_oracle_checker(self, capsys):
+        rng = random.Random(13)
+        graphs = [star_graph(3), spider([3, 3, 2, 1, 1]), caterpillar(4),
+                  sun(4), petersen(),
+                  disjoint_union(sun(2), relabelled(prufer_tree(25, rng), rng))]
+        graphs += [relabelled(prufer_tree(n, rng), rng) for n in (40, 70)]
+        for g in graphs:
+            assert cli.main(["mult", "--g6", to_graph6(g)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            trace = out["trace"]
+            assert read_edge_list(trace["input_edge_list"]) == g
+            assert trace["total"] == out["m1"]
+            assert oracles.trace_faults(trace) == [], to_graph6(g)
+
+    def test_mult_on_order_ten_to_the_five_from_an_edge_list(
+        self, tmp_path, capsys
+    ):
+        # the default --method both at order 100,006: the trace holds the
+        # input once and the vertices its steps name, not graph6 strings
+        # of n(n - 1)/12 characters each
+        g = relabelled(caterpillar(25000), random.Random(8))
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(g))
+        t0 = time.perf_counter()
+        assert cli.main(["mult", "--file", str(path)]) == 0
+        assert time.perf_counter() - t0 < 20.0
+        out = capsys.readouterr().out
+        assert len(out) < 64 * g.n
+        payload = json.loads(out)
+        assert (payload["method"], payload["m1"]) == ("both", 25000)
+        assert payload["trace"]["total"] == 25000
+
     def test_mult_parse_failure_exit_2(self, capsys):
         assert cli.main(["mult", "--g6", "B\x07"]) == 2
         assert cli.main(["mult"]) == 2
 
     def test_mult_disagreement_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "multiplicity_fast", lambda g: (99, cli.ReductionTrace("", (), 99))
+            cli, "multiplicity_fast", lambda g: (99, ReductionTrace(g, (), 99))
         )
         assert cli.main(["mult", "--g6", "Bw", "--method", "both"]) == 3
         out = json.loads(capsys.readouterr().out)
@@ -311,7 +346,9 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["offset"] == 2
         assert parse_graph6(out["graph6"]).n == 2
-        assert out["trace"]["steps"][0]["rule"] == "PendantCluster"
+        (step,) = out["trace"]["steps"]
+        assert (step["rule"], step["vertices"]) == ("PendantCluster", [2, 3])
+        assert (step["before_g6"], step["after_g6"]) == ("Cs", "A_")
 
     def test_reduce_to_final(self, capsys):
         assert cli.main(
@@ -374,7 +411,7 @@ class TestCli:
         assert cli.main(["extremal", "--class", "unicyclic", "--n", "12"]) == 0
         out = capsys.readouterr().out.strip()
         g6, m_part = out.split()
-        assert m_part == "m=3" and parse_graph6(g6).is_unicyclic()
+        assert m_part == "m=3" and is_unicyclic(parse_graph6(g6))
 
         assert cli.main(["extremal", "--class", "tree", "--n", "10"]) == 0
         out = capsys.readouterr().out.strip()
@@ -434,21 +471,17 @@ class TestCli:
         assert cli.main(["mult", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 3
 
-    def test_orders_graph6_cannot_encode_are_usage_errors(self, tmp_path, capsys):
-        # Traces and reduce reports carry graph6, whose vertex count stops
-        # at 258,047; the exact route writes none and still answers.
+    def test_orders_graph6_cannot_encode_fail_reduce_only(self, tmp_path, capsys):
+        # reduce reports carry graph6, whose vertex count stops at
+        # 258,047; mult writes none, so its fast route answers too
         path = tmp_path / "big.txt"
-        path.write_text("258048 0\n")
-        for argv in (
-            ["reduce"],
-            ["mult", "--method", "fast"],
-            ["mult", "--method", "both"],
-        ):
-            assert cli.main(argv + ["--file", str(path)]) == 2, argv
-            captured = capsys.readouterr()
-            assert captured.out == "" and "258047" in captured.err
-        assert cli.main(["mult", "--method", "exact", "--file", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["m1"] == 0
+        path.write_text(write_edge_list(star_graph(258047)))
+        assert cli.main(["reduce", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "258047" in captured.err
+        assert cli.main(["mult", "--method", "fast", "--file", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["m1"] == out["trace"]["total"] == 258046
 
     def test_out_of_range_inputs_are_usage_errors(self, capsys):
         for argv in (
