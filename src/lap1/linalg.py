@@ -4,8 +4,8 @@ Everything runs over arbitrary-precision integers (or exact rationals for
 eigenvalue targets): sparse fraction-free elimination for rank, the
 division-free Berkowitz recurrence for characteristic polynomials,
 eigenvalue multiplicities derived from either route, and leaf elimination
-on L - I with exact rationals for the reduction pipeline.  No floating
-point anywhere.
+on L - I with exact rationals for the reduction pipeline and the graphs
+`verify` derives.  No floating point anywhere.
 
 `rank` is the one rank engine.  It stores only nonzero entries, pivots
 for sparsity (Markowitz) and keeps every row primitive, so each stored
@@ -338,6 +338,10 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
     diagonal; each of its rows is scaled by its diagonal's denominator
     and passed to `rank` as a sparse row.  Trees and suns leave no core
     and make no `rank` call.
+
+    Callers: the reduction pipeline's exact-rank fallback on a residual
+    component, and `verify`'s derived checks, which compute every
+    m_L(1) other than a checked graph's own with it, unmemoised.
     """
     adj = list(map(set, map(g.neighbors, range(g.n))))
     # exact diagonals: ints, until a leaf divides one into a Fraction

@@ -229,9 +229,8 @@ def edge_split(g: Graph, u: int, v: int, w: int) -> Graph:
     if w == u or not g.has_edge(v, w):
         raise ValueError(f"vertex {w} is not another neighbor of {v}")
     y, x = g.n, g.n + 1
-    edges = list((g.remove_edge(v, w)).edges)
-    edges.extend([(w, y), (y, x)])
-    return Graph(g.n + 2, edges)
+    vw = (v, w) if v < w else (w, v)
+    return Graph._unchecked(g.n + 2, (g.edges - {vw}) | {(w, y), (y, x)})
 
 
 def _check_internal(g: Graph, path: PathLocation, k: int) -> None:

@@ -9,7 +9,14 @@ aggregate check, and builds the report.
 
 Every per-graph check also cross-validates three multiplicity routes
 (exact rank, Berkowitz characteristic polynomial, reduction pipeline), so
-a defect in any one engine surfaces as a "cross-oracle" violation.
+a defect in any one engine surfaces as a "cross-oracle" violation.  The
+three routes run once per checked graph, memoised so that suites sharing
+a graph share its answers.  Every other m_L(1) comes from leaf peeling,
+`multiplicity_one_by_peeling`, unmemoised: that of each graph a check
+derives (the reduced graph, G - e, the lemmas' transformations) and of
+the star-like trees.  Derived graphs are many, and holding their
+answers for the life of the process would cost more memory than
+recomputing the repeats costs time.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .linalg import (
     integer_laplacian_eigenvalues,
     internal_submatrix,
     laplacian_multiplicity_one,
+    multiplicity_one_by_peeling,
 )
 from .reduction import (
     contract_line_P4,
@@ -227,7 +235,7 @@ def _check_thm1(g6: str) -> tuple[int, list[dict]]:
     me, viol = _cross_oracle(g, g6)
     viol += _faria_eq2(g, g6, me, pendant_profile(g))
     gbar, offset = reduced_graph(g)
-    rhs = offset + _m1_exact(gbar)
+    rhs = offset + multiplicity_one_by_peeling(gbar)
     if me != rhs:
         viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
     return me, viol
@@ -240,7 +248,7 @@ def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
     viol += _faria_eq2(g, g6, me, prof)
 
     for u, v in g.sorted_edges():
-        md = _m1_exact(g.remove_edge(u, v))
+        md = multiplicity_one_by_peeling(g.remove_edge(u, v))
         if not md - 1 <= me <= md + 1:
             viol.append(
                 _violation(g6, f"within 1 of m(G-e)={md} (edge {u}-{v})", me,
@@ -262,11 +270,11 @@ def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
                     actual = f"n={g.n} mult={mult}"
                     viol.append(_violation(g6, expected, actual, "gms"))
         for path in find_pendant_paths(g, 3):
-            md = _m1_exact(delete_pendant_P3(g, path))
+            md = multiplicity_one_by_peeling(delete_pendant_P3(g, path))
             if md != me:
                 viol.append(_violation(g6, me, md, "path3"))
         for path in find_internal_paths(g, 5):
-            md = _m1_exact(contract_tree_P5(g, path))
+            md = multiplicity_one_by_peeling(contract_tree_P5(g, path))
             if md != me:
                 viol.append(_violation(g6, me, md, "innerpathcorol"))
 
@@ -274,13 +282,13 @@ def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
         v = prof.pendant_owner[u]
         if g.degree(v) < 3:
             continue
-        mr = _m1_exact(reduction_operation(g, u, v))
+        mr = multiplicity_one_by_peeling(reduction_operation(g, u, v))
         if mr != me:
             viol.append(_violation(g6, me, mr, "reduction-op"))
         for w in g.neighbors(v):
             if w == u:
                 continue
-            ms = _m1_exact(edge_split(g, u, v, w))
+            ms = multiplicity_one_by_peeling(edge_split(g, u, v, w))
             if ms != me:
                 viol.append(_violation(g6, me, ms, "mainlemma"))
 
@@ -354,7 +362,7 @@ def _lemmas_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
     trees = [star_like_tree(s) for s in range(2, 7)]
     trees += [double_star_like_tree(s, t) for s in range(2, 7) for t in range(s, 7)]
     for t in trees:
-        m = _m1_exact(t)
+        m = multiplicity_one_by_peeling(t)
         if m != 0:
             viol.append(_violation(to_graph6(t), 0, m, "starlike"))
     cycles = range(3, 31)

@@ -37,6 +37,7 @@ from lap1.linalg import (
     rank,
 )
 from lap1.enumeration import free_trees, unicyclic_graphs
+from lap1.reduction import edge_split, reduction_operation
 import oracles
 from families import caterpillar, circulant, sun
 from oracles import charpoly_by_interpolation, fraction_rank
@@ -369,6 +370,27 @@ class TestPeeling:
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
             assert multiplicity_one_by_peeling(g) == laplacian_multiplicity_one(g)
+
+    def test_agrees_on_the_graphs_the_lemma_checks_derive(self):
+        # every G - e, edge split and reduction operation that the lemmas
+        # suite builds from the trees and unicyclic graphs of order <= 8;
+        # the suite computes their multiplicities by peeling alone
+        derived = []
+        for g in [t for n in range(1, 9) for t in free_trees(n)] + [
+            g for n in range(3, 9) for g in unicyclic_graphs(n)
+        ]:
+            derived += [g.remove_edge(u, v) for u, v in g.edges]
+            for u in range(g.n):
+                if g.degree(u) != 1:
+                    continue
+                v = g.neighbors(u)[0]
+                if g.degree(v) < 3:
+                    continue
+                derived.append(reduction_operation(g, u, v))
+                derived += [edge_split(g, u, v, w) for w in g.neighbors(v) if w != u]
+        assert len(derived) == 1335 + 419 + 1215  # G - e, reductions, splits
+        for h in derived:
+            assert multiplicity_one_by_peeling(h) == laplacian_multiplicity_one(h)
 
     def test_large_extremal_shapes_in_linear_time(self):
         for build, k in ((caterpillar, 2500), (sun, 2500)):

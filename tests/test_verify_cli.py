@@ -55,6 +55,14 @@ class TestSuites:
         r = verify_lemmas(max_n=8)
         assert r.passed
 
+    def test_route_caches_hold_checked_graphs_only(self):
+        # the graphs a check derives take the peeling route, unmemoised,
+        # so no route cache outgrows the graphs the report counts
+        clear_caches()
+        r = verify_lemmas(max_n=8)
+        for route in (verify._m1_exact, verify._m1_charpoly, verify._m1_fast):
+            assert 0 < route.cache_info().currsize <= r.graphs_checked
+
     def test_report_json_shape(self):
         r = verify_thm2(max_n=7)
         payload = r.to_json()
@@ -133,10 +141,11 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("thm9")
 
-    # m + 1 on every order divisible by 3 breaks the rank route only, so
-    # besides the cross-oracle it must light up every aggregate rule: the
-    # thm2 census and extremal checks, thm3's extremal check, and the
-    # lemmas' star-like and cycle closed-form extras.
+    # m + 1 on every order divisible by 3 breaks the rank route and the
+    # peeling of derived graphs only, so besides the cross-oracle it must
+    # light up every aggregate rule: the thm2 census and extremal checks,
+    # thm3's extremal check, and the lemmas' star-like and cycle
+    # closed-form extras.
     @pytest.mark.parametrize("entry, kwargs, graphs, rules", [
         pytest.param(verify_thm1, dict(max_n=6, n_random=10, seed=1), 45,
                      {"cross-oracle": 26, "eq2": 26, "thm1-identity": 12},
@@ -155,11 +164,12 @@ class TestSuites:
     def test_mutation_fires_aggregate_rules(
         self, monkeypatch, entry, kwargs, graphs, rules
     ):
-        real_m1 = verify._m1_exact
         clear_caches()
-        monkeypatch.setattr(
-            verify, "_m1_exact", lambda g: real_m1(g) + (g.n % 3 == 0)
-        )
+        for name in ("_m1_exact", "multiplicity_one_by_peeling"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda g, real=real: real(g) + (g.n % 3 == 0)
+            )
         try:
             r = entry(**kwargs)
         finally:
