@@ -19,6 +19,12 @@ class Graph:
     Immutable after construction: every derived graph is a new object.
     Two graphs compare equal iff they have the same vertex count and the
     same edge set (edge order and input orientation never matter).
+
+    A graph holds only n and its frozenset of edges until something reads
+    more: the sorted neighbour tuples are built on the first `neighbors`,
+    `degree` or `components` call, and the hash on the first `__hash__`
+    call.  Most graphs a check derives are read as an edge set alone.  A
+    pickle carries n and the edges only.
     """
 
     __slots__ = ("n", "edges", "_nbrs", "_hash")
@@ -38,12 +44,8 @@ class Graph:
     def _finish(self, n: int, norm: frozenset[tuple[int, int]]) -> None:
         self.n = n
         self.edges = norm
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._nbrs = tuple(tuple(sorted(a)) for a in nbrs)
-        self._hash = hash((n, norm))
+        self._nbrs = None
+        self._hash = None
 
     @classmethod
     def _unchecked(cls, n: int, norm_edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -51,6 +53,16 @@ class Graph:
         g = object.__new__(cls)
         g._finish(n, frozenset(norm_edges))
         return g
+
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        nbrs = self._nbrs
+        if nbrs is None:
+            lists: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            nbrs = self._nbrs = tuple(tuple(sorted(a)) for a in lists)
+        return nbrs
 
     # -- queries ------------------------------------------------------
 
@@ -62,10 +74,10 @@ class Graph:
         return range(self.n)
 
     def degree(self, u: int) -> int:
-        return len(self._nbrs[u])
+        return len((self._nbrs or self._adjacency())[u])
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._nbrs[u]
+        return (self._nbrs or self._adjacency())[u]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -118,6 +130,7 @@ class Graph:
     # -- connectivity --------------------------------------------------
 
     def components(self) -> list[list[int]]:
+        nbrs = self._adjacency()
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
@@ -128,7 +141,7 @@ class Graph:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for w in self._nbrs[u]:
+                for w in nbrs[u]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
@@ -152,7 +165,13 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.edges))
+        return h
+
+    def __reduce__(self):
+        return Graph._unchecked, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.sorted_edges()})"

@@ -4,8 +4,9 @@ Everything runs over arbitrary-precision integers (or exact rationals for
 eigenvalue targets): sparse fraction-free elimination for rank, the
 division-free Berkowitz recurrence for characteristic polynomials,
 eigenvalue multiplicities derived from either route, and leaf elimination
-on L - I with exact rationals for the reduction pipeline and the graphs
-`verify` derives.  No floating point anywhere.
+on L - I for the reduction pipeline and the graphs `verify` derives, with
+each rational diagonal kept as a reduced pair of integers.  No floating
+point anywhere.
 
 `rank` is the one rank engine.  It stores only nonzero entries, pivots
 for sparsity (Markowitz) and keeps every row primitive, so each stored
@@ -17,11 +18,12 @@ fill-in instead of n^3.
 `rank` and `char_poly` each take either of two forms: a dense
 `IntMatrix`, or a `SparseIntMatrix` whose rows hold only their nonzero
 entries.  The exact route builds L - I sparse straight from the adjacency
-lists, the peeling builds its core sparse, and `integer_laplacian_eigenvalues`
-builds L sparse, so none of them materialises an n x n matrix.  Dense
-matrices remain for `laplacian`, `internal_submatrix` and `adjacency`,
-which the `verify` lemma checks use.  Both engines copy what they are
-given and never change it.
+lists, the peeling builds its adjacency from the edge set and its core
+sparse, and `integer_laplacian_eigenvalues` builds L sparse, so none of
+them materialises an n x n matrix.  Dense matrices remain for `laplacian`,
+`internal_submatrix` and `adjacency`; of these, `verify` uses only
+`adjacency`, for the line-graph and P4 checks.  Both engines copy what
+they are given and never change it.
 """
 
 from __future__ import annotations
@@ -334,57 +336,73 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
       2 and clears every other entry of r's row and column: v and r go,
       and r's other edges with them.
 
-    What is left (the 2-core, or a subgraph of it) keeps -1 off the
-    diagonal; each of its rows is scaled by its diagonal's denominator
-    and passed to `rank` as a sparse row.  Trees and suns leave no core
-    and make no `rank` call.
+    Each diagonal is kept as a reduced integer pair, numerator and
+    positive denominator, so no `Fraction` is made.  What is left (the
+    2-core, or a subgraph of it) keeps -1 off the diagonal; each of its
+    rows is scaled by its diagonal's denominator and passed to `rank` as
+    a sparse row.  Trees and suns leave no core and make no `rank` call.
+    The adjacency sets are built from `g.edges`, so a graph that is only
+    peeled never builds its neighbour tuples.
 
     Callers: the reduction pipeline's exact-rank fallback on a residual
     component, and `verify`'s derived checks, which compute every
     m_L(1) other than a checked graph's own with it, unmemoised.
     """
-    adj = list(map(set, map(g.neighbors, range(g.n))))
-    # exact diagonals: ints, until a leaf divides one into a Fraction
-    d: list[int | Fraction] = [len(nbrs) - 1 for nbrs in adj]
-    alive = [True] * g.n
-    todo = [v for v in range(g.n) if len(adj[v]) <= 1]
+    n = g.n
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    # d(v) = num[v] / den[v] in lowest terms, den[v] > 0
+    num = [len(nbrs) - 1 for nbrs in adj]
+    den = [1] * n
+    alive = [True] * n
+    todo = [v for v in range(n) if len(adj[v]) <= 1]
     zeros = 0
-
-    def remove(v: int) -> None:
-        alive[v] = False
-        for w in adj[v]:
-            adj[w].discard(v)
-            if len(adj[w]) <= 1:
-                todo.append(w)
-        adj[v].clear()
 
     # Degrees only fall, so a queued vertex stays at degree <= 1; it may
     # be queued twice (leaf, then isolated) or removed as some r first.
+    # A removed vertex's own set is left as it is: only live sets are read.
     while todo:
         v = todo.pop()
         if not alive[v]:
             continue
+        alive[v] = False
         if not adj[v]:
-            alive[v] = False
-            zeros += d[v] == 0
+            zeros += num[v] == 0
             continue
         (r,) = adj[v]
-        if d[v]:
-            d[r] -= Fraction(1, d[v])
-            remove(v)
+        nbrs = adj[r]
+        nbrs.discard(v)
+        a = num[v]
+        if a:
+            # d(r) - 1/d(v) = (num_r a - den_r b) / (den_r a), with b = den[v]
+            b = den[v]
+            top = num[r] * a - den[r] * b
+            bottom = den[r] * a
+            if bottom < 0:
+                top, bottom = -top, -bottom
+            k = gcd(top, bottom)
+            num[r], den[r] = top // k, bottom // k
+            if len(nbrs) <= 1:
+                todo.append(r)
         else:
-            remove(v)
-            remove(r)
+            alive[r] = False
+            for w in nbrs:
+                other = adj[w]
+                other.discard(r)
+                if len(other) <= 1:
+                    todo.append(w)
 
-    core = [v for v in range(g.n) if alive[v]]
+    core = [v for v in range(n) if alive[v]]
     if not core:
         return zeros
     index = {v: i for i, v in enumerate(core)}
     rows = []
     for v in core:
-        row = dict.fromkeys((index[w] for w in adj[v]), -d[v].denominator)
-        if d[v]:
-            row[index[v]] = d[v].numerator
+        row = dict.fromkeys((index[w] for w in adj[v]), -den[v])
+        if num[v]:
+            row[index[v]] = num[v]
         rows.append(row)
     return zeros + len(core) - rank(SparseIntMatrix(rows, len(core)))
 

@@ -158,7 +158,7 @@ def reduction_operation(g: Graph, u: int, v: int) -> Graph:
         edges.append((remap[w], inner) if remap[w] < inner else (inner, remap[w]))
         edges.append((inner, outer))
         nxt += 2
-    return Graph(nxt, edges)
+    return Graph._unchecked(nxt, edges)
 
 
 def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:

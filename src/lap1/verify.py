@@ -2,10 +2,13 @@
 reportable checks.
 
 A suite is one row of `_TABLE`: lowest order, default `max_n`, graph
-source, per-graph check and aggregate check.  One engine, `_run`, maps
-the check over the source's graphs (in worker processes when jobs > 1,
-so checks are module-level), hands every (graph6, n, m) triple to the
-aggregate check, and builds the report.
+source, per-graph check and aggregate check.  One engine, `_run`, streams
+the source's `Graph`s into the check one at a time, hands every
+(graph6, n, m) triple to the aggregate check, and builds the report.  A
+check encodes its graph to graph6 once, for the report, and never parses
+it back.  With jobs > 1 the engine lists the source's graphs and pickles
+them to worker processes (a pickled `Graph` is n and its edge set), so
+checks are module-level.
 
 Every per-graph check also cross-validates three multiplicity routes
 (exact rank, Berkowitz characteristic polynomial, reduction pipeline), so
@@ -24,7 +27,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +44,7 @@ from .enumeration import (
     unicyclic_in_class_G,
 )
 from .extremal import extremal_tree_unverified, extremal_unicyclic_unverified
-from .graph6 import parse_graph6, to_graph6
+from .graph6 import to_graph6
 from .graphs import (
     Graph,
     PendantProfile,
@@ -59,9 +62,9 @@ from .linalg import (
     char_poly,
     eigen_multiplicity,
     integer_laplacian_eigenvalues,
-    internal_submatrix,
     laplacian_multiplicity_one,
     multiplicity_one_by_peeling,
+    rank,
 )
 from .reduction import (
     contract_line_P4,
@@ -154,18 +157,22 @@ def _cross_oracle(g: Graph, g6: str) -> tuple[int, list[dict]]:
     ]
 
 
-def _map_graphs(fn, items: list, jobs: int) -> list:
+def _map_graphs(fn, graphs: Iterable[Graph], jobs: int) -> Iterable:
+    # A serial run streams; only workers need the graphs listed first.
     # Workers fork at the first submit: no more than CPUs or items.
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        graphs = list(graphs)
+        workers = min(workers, len(graphs))
+    if workers <= 1 or len(graphs) < 4:
+        return map(fn, graphs)
     # Imported here: multiprocessing is about a tenth of every CLI
     # call's start-up, and only --jobs > 1 needs it.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 8))
-        return list(pool.map(fn, items, chunksize=chunk))
+        chunk = max(1, len(graphs) // (workers * 8))
+        return list(pool.map(fn, graphs, chunksize=chunk))
 
 
 # -- graph sources ----------------------------------------------------------
@@ -214,11 +221,23 @@ def _class_G(max_n: int, seed: int, n_random: int) -> Source:
 # -- per-graph checks ------------------------------------------------------
 
 def _faria_eq2(g: Graph, g6: str, me: int, prof: PendantProfile) -> list[dict]:
-    """Faria's bound m >= p - q and equation (2), m = p - q + m_N."""
+    """Faria's bound m >= p - q and equation (2), m = p - q + m_N, with
+    m_N the nullity of L_N - I for the principal submatrix L_N of L on
+    the vertices that are neither pendant nor quasi-pendant.  Its rows
+    are built sparse from the adjacency lists."""
     viol = []
     if me < prof.p - prof.q:
         viol.append(_violation(g6, f"m >= p-q = {prof.p - prof.q}", me, "faria"))
-    m_inner = eigen_multiplicity(internal_submatrix(g), 1)
+    skip = set(prof.pendants).union(prof.quasi_pendants)
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in skip)}
+    rows = []
+    for v in index:
+        nbrs = g.neighbors(v)
+        row = {index[w]: -1 for w in nbrs if w in index}
+        if len(nbrs) != 1:
+            row[index[v]] = len(nbrs) - 1
+        rows.append(row)
+    m_inner = len(index) - rank(SparseIntMatrix(rows, len(index)))
     if me != prof.p - prof.q + m_inner:
         viol.append(
             _violation(g6, f"p-q+m_N = {prof.p - prof.q + m_inner}", me, "eq2")
@@ -226,23 +245,27 @@ def _faria_eq2(g: Graph, g6: str, me: int, prof: PendantProfile) -> list[dict]:
     return viol
 
 
-def _check_oracles(g6: str) -> tuple[int, list[dict]]:
-    return _cross_oracle(parse_graph6(g6), g6)
+Checked = tuple[str, int, int, list[dict]]  # (graph6, n, m, violations)
 
 
-def _check_thm1(g6: str) -> tuple[int, list[dict]]:
-    g = parse_graph6(g6)
+def _check_oracles(g: Graph) -> Checked:
+    g6 = to_graph6(g)
+    return g6, g.n, *_cross_oracle(g, g6)
+
+
+def _check_thm1(g: Graph) -> Checked:
+    g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
     viol += _faria_eq2(g, g6, me, pendant_profile(g))
     gbar, offset = reduced_graph(g)
     rhs = offset + multiplicity_one_by_peeling(gbar)
     if me != rhs:
         viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
-    return me, viol
+    return g6, g.n, me, viol
 
 
-def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
-    g = parse_graph6(g6)
+def _check_lemmas(g: Graph) -> Checked:
+    g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
     prof = pendant_profile(g)
     viol += _faria_eq2(g, g6, me, prof)
@@ -303,7 +326,7 @@ def _check_lemmas(g6: str) -> tuple[int, list[dict]]:
             mh = eigen_multiplicity(adjacency(contract_line_P4(g, path)), -1)
             if mh != ma:
                 viol.append(_violation(g6, ma, mh, "innerpath"))
-    return me, viol
+    return g6, g.n, me, viol
 
 
 # -- aggregate checks -------------------------------------------------------
@@ -384,7 +407,7 @@ class Suite:
     lo: int  # lowest order checked; n_range starts here
     max_n: int  # default highest order
     graphs: Callable[[int, int, int], Source]  # (max_n, seed, n_random)
-    check: Callable[[str], tuple[int, list[dict]]]  # graph6 -> (m, violations)
+    check: Callable[[Graph], Checked]
     # (results, the source's top order) -> (graphs checked beyond the
     # source's, violations)
     aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
@@ -418,15 +441,16 @@ def _run(
 ) -> VerificationReport:
     t0 = time.monotonic()
     top, source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
-    graphs = [(to_graph6(g), g.n) for g in source]
+    results: Results = []
+    violations = []
+    for g6, n, m, viol in _map_graphs(suite.check, source, jobs):
+        results.append((g6, n, m))
+        violations += viol
     if top is None:
-        top = max((n for _, n in graphs), default=suite.lo)
-    results = _map_graphs(suite.check, [g6 for g6, _ in graphs], jobs)
-    violations = [v for _, viol in results for v in viol]
+        top = max((n for _, n, _ in results), default=suite.lo)
     extra = 0
     if suite.aggregate is not None:
-        triples = [(g6, n, m) for (g6, n), (m, _) in zip(graphs, results)]
-        extra, more = suite.aggregate(triples, top)
+        extra, more = suite.aggregate(results, top)
         violations += more
     violations.sort(
         key=lambda v: (v["rule"], v["graph6"], v["expected"], v["actual"])
@@ -434,7 +458,7 @@ def _run(
     return VerificationReport(
         suite.name,
         (suite.lo, top),
-        len(graphs) + extra,
+        len(results) + extra,
         violations,
         int((time.monotonic() - t0) * 1000),
         seed if suite.seeded else None,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from lap1.graphs import (
     star_graph,
     star_like_tree,
 )
+from lap1.graph6 import parse_graph6, to_graph6
 from families import degree_sequence, is_unicyclic
 
 
@@ -84,6 +87,52 @@ class TestConstruction:
         h, remap = g.delete_vertices([1])
         assert h.n == 4 and remap == {0: 0, 2: 1, 3: 2, 4: 3}
         assert h.edges == frozenset({(1, 2), (2, 3)})
+
+
+class TestLazyGraph:
+    """A graph builds its neighbour tuples and hash on first use; every
+    way of building one must give the same answers."""
+
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (0, 5)]
+
+    def builds(self):
+        wide = Graph(6, self.EDGES + [(2, 5)])
+        return [
+            Graph(6, [(v, u) for u, v in reversed(self.EDGES)]),
+            Graph._unchecked(6, self.EDGES),
+            parse_graph6(to_graph6(Graph(6, self.EDGES))),
+            wide.remove_edge(5, 2),
+            Graph(6, self.EDGES).relabel(range(6)),
+        ]
+
+    def test_equal_graphs_hash_equal(self):
+        graphs = self.builds()
+        # hashes first on some, neighbours first on others
+        graphs[1].neighbors(0)
+        graphs[3].degree(2)
+        assert len({hash(g) for g in graphs}) == 1
+        assert all(g == graphs[0] for g in graphs)
+        assert len(set(graphs)) == 1
+        assert graphs[0] != Graph(6, self.EDGES[1:])
+
+    def test_neighbors_are_sorted_tuples(self):
+        for g in self.builds():
+            assert [g.neighbors(v) for v in range(6)] == [
+                (1, 5), (0, 2, 4), (1, 3), (2, 4), (1, 3), (0,)
+            ]
+            assert [g.degree(v) for v in range(6)] == [2, 3, 2, 2, 2, 1]
+            assert g.components() == [[0, 1, 2, 3, 4, 5]]
+
+    def test_pickle_round_trip(self):
+        for g in self.builds():
+            for touched in (False, True):
+                if touched:
+                    hash(g), g.neighbors(0)
+                h = pickle.loads(pickle.dumps(g))
+                assert h == g and hash(h) == hash(g)
+                assert [h.neighbors(v) for v in range(6)] == [
+                    g.neighbors(v) for v in range(6)
+                ]
 
 
 class TestPendantProfile:

@@ -7,12 +7,14 @@ import ast
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lap1.linalg as linalg
 from lap1.graphs import (
     Graph,
     cycle_graph,
@@ -326,6 +328,25 @@ def forest_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:
     return Graph(n, edges)
 
 
+def lemma_derived_graphs() -> list[Graph]:
+    """Every G - e, reduction operation and edge split that the lemmas
+    suite builds from the trees and unicyclic graphs of order <= 8."""
+    derived = []
+    for g in [t for n in range(1, 9) for t in free_trees(n)] + [
+        g for n in range(3, 9) for g in unicyclic_graphs(n)
+    ]:
+        derived += [g.remove_edge(u, v) for u, v in g.edges]
+        for u in range(g.n):
+            if g.degree(u) != 1:
+                continue
+            v = g.neighbors(u)[0]
+            if g.degree(v) < 3:
+                continue
+            derived.append(reduction_operation(g, u, v))
+            derived += [edge_split(g, u, v, w) for w in g.neighbors(v) if w != u]
+    return derived
+
+
 class TestPeeling:
     def test_examples(self):
         assert multiplicity_one_by_peeling(Graph(0)) == 0
@@ -372,25 +393,73 @@ class TestPeeling:
             assert multiplicity_one_by_peeling(g) == laplacian_multiplicity_one(g)
 
     def test_agrees_on_the_graphs_the_lemma_checks_derive(self):
-        # every G - e, edge split and reduction operation that the lemmas
-        # suite builds from the trees and unicyclic graphs of order <= 8;
         # the suite computes their multiplicities by peeling alone
-        derived = []
-        for g in [t for n in range(1, 9) for t in free_trees(n)] + [
-            g for n in range(3, 9) for g in unicyclic_graphs(n)
-        ]:
-            derived += [g.remove_edge(u, v) for u, v in g.edges]
-            for u in range(g.n):
-                if g.degree(u) != 1:
-                    continue
-                v = g.neighbors(u)[0]
-                if g.degree(v) < 3:
-                    continue
-                derived.append(reduction_operation(g, u, v))
-                derived += [edge_split(g, u, v, w) for w in g.neighbors(v) if w != u]
+        derived = lemma_derived_graphs()
         assert len(derived) == 1335 + 419 + 1215  # G - e, reductions, splits
         for h in derived:
             assert multiplicity_one_by_peeling(h) == laplacian_multiplicity_one(h)
+
+    def test_reads_only_the_edge_set(self, monkeypatch):
+        # a derived graph that is only peeled never builds its neighbour
+        # tuples: with neighbors and degree raising, the peeling answers
+        def forbidden(self, v):
+            raise AssertionError("the peeling read the adjacency tuples")
+
+        derived = lemma_derived_graphs()
+        monkeypatch.setattr(Graph, "neighbors", forbidden)
+        monkeypatch.setattr(Graph, "degree", forbidden)
+        peeled = [multiplicity_one_by_peeling(h) for h in derived]
+        monkeypatch.undo()
+        assert peeled == [laplacian_multiplicity_one(Graph(h.n, h.edges))
+                          for h in derived]
+
+    def test_rational_diagonals_agree_with_fraction_rank(self, monkeypatch):
+        # cycles with small trees hanging off them.  A fork, a vertex with
+        # j pendant P2s below it, is peeled as a leaf of diagonal j, so its
+        # cycle neighbour reaches the core with a diagonal of denominator
+        # j; a fork below a stem vertex gives the stem diagonal 1/2, and
+        # peeling the stem subtracts 2, so a vertex above two such stems
+        # is peeled with diagonal -2.  A denominator b > 1 shows in the
+        # core rows as off-diagonal entries -b.
+        stem_fork = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]
+        gadgets = (  # trees on 0..k, vertex 0 joined to the cycle
+            [(0, 1)],
+            [(0, 1), (1, 2)],
+            [(0, 1), (1, 2), (0, 3), (3, 4)],
+            [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
+            stem_fork,
+            [(0, 1), (0, 7)] + [(a + s, b + s) for s in (1, 7) for a, b in stem_fork],
+        )
+        rng = random.Random(29)
+        core_rows = []
+        real_rank = linalg.rank
+
+        def recording_rank(m):
+            core_rows.extend(enumerate(m.data))
+            return real_rank(m)
+
+        monkeypatch.setattr(linalg, "rank", recording_rank)
+        for k in range(3, 9):
+            for _ in range(30):
+                edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+                n = k
+                for _ in range(rng.randint(1, 3)):
+                    tree = rng.choice(gadgets)
+                    edges.append((rng.randrange(k), n))
+                    edges += [(n + a, n + b) for a, b in tree]
+                    n += len(tree) + 1
+                g = Graph(n, edges)
+                rows = [[g.degree(u) - 1 if u == v else -g.has_edge(u, v)
+                         for v in range(n)] for u in range(n)]
+                assert multiplicity_one_by_peeling(g) == n - fraction_rank(rows)
+        # row i is -b off the diagonal and a on it, for d = a / b in lowest
+        # terms with b > 0
+        denominators = set()
+        for i, row in core_rows:
+            (b,) = {-x for j, x in row.items() if j != i}
+            assert b > 0 and gcd(b, row.get(i, 0)) == 1
+            denominators.add(b)
+        assert {2, 3, 6} <= denominators
 
     def test_large_extremal_shapes_in_linear_time(self):
         for build, k in ((caterpillar, 2500), (sun, 2500)):

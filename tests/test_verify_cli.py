@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 
 import lap1.cli as cli
+import lap1.graph6 as graph6
 import lap1.linalg as linalg
 import lap1.verify as verify
 from lap1.canon import canonical_form
@@ -82,9 +84,32 @@ class TestSuites:
         assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
 
     def test_jobs_match_serial(self):
+        # workers receive pickled Graphs
         a = verify_thm1(max_n=7, seed=4, n_random=10, jobs=1)
         b = verify_thm1(max_n=7, seed=4, n_random=10, jobs=2)
         assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
+        a = verify_lemmas(max_n=7, jobs=1)
+        b = verify_lemmas(max_n=7, jobs=2)
+        assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
+
+    def test_checks_parse_no_graph6(self, monkeypatch):
+        # the checks take the source's Graphs: the only parses left are
+        # the enumeration's, one per graph it yields from its cached levels
+        verify_lemmas(max_n=8)  # fills the enumeration's level caches
+        real = graph6.parse_graph6
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lap1") and getattr(module, "parse_graph6", None) is real:
+                monkeypatch.setattr(module, "parse_graph6", counted)
+        r = verify_lemmas(max_n=8)
+        assert r.passed
+        # 1+1+1+2+3+6+11+23 trees, 1+2+5+13+33+89 unicyclic
+        assert len(calls) == 48 + 143
 
     @pytest.mark.parametrize("max_n", [1, 5, 7])
     def test_run_suite_all(self, max_n):
