@@ -46,7 +46,6 @@ from .graphs import (
     star_like_tree,
 )
 from .linalg import (
-    IntMatrix,
     SparseIntMatrix,
     adjacency,
     char_poly,

@@ -1,12 +1,11 @@
 """Exact integer linear algebra.
 
-Everything runs over arbitrary-precision integers (or exact rationals for
-eigenvalue targets): sparse fraction-free elimination for rank, the
-division-free Berkowitz recurrence for characteristic polynomials,
-eigenvalue multiplicities derived from either route, and leaf elimination
-on L - I for the reduction pipeline and the graphs `verify` derives, with
-each rational diagonal kept as a reduced pair of integers.  No floating
-point anywhere.
+Everything runs over arbitrary-precision integers: sparse fraction-free
+elimination for rank, the division-free Berkowitz recurrence for
+characteristic polynomials, eigenvalue multiplicities derived from either
+route, and leaf elimination on L - I for the reduction pipeline and the
+graphs `verify` derives, with each rational diagonal kept as a reduced
+pair of integers.  No floating point anywhere.
 
 `rank` is the one rank engine.  It stores only nonzero entries, pivots
 for sparsity (Markowitz) and keeps every row primitive, so each stored
@@ -15,15 +14,15 @@ Hadamard bound as Bareiss's dense elimination; L - I of a tree, a sun or
 a sparse random graph has about 3n nonzeros, and the work follows the
 fill-in instead of n^3.
 
-`rank` and `char_poly` each take either of two forms: a dense
-`IntMatrix`, or a `SparseIntMatrix` whose rows hold only their nonzero
-entries.  The exact route builds L - I sparse straight from the adjacency
-lists, the peeling builds its adjacency from the edge set and its core
-sparse, and `integer_laplacian_eigenvalues` builds L sparse, so none of
-them materialises an n x n matrix.  Dense matrices remain for `laplacian`,
-`internal_submatrix` and `adjacency`; of these, `verify` uses only
-`adjacency`, for the line-graph and P4 checks.  Both engines copy what
-they are given and never change it.
+There is one matrix type, `SparseIntMatrix`, whose row i is a dict
+{column: entry}.  `adjacency`, `laplacian` and `internal_submatrix` build
+A, L and L_N as such rows from the neighbour lists, and `rank`,
+`char_poly` and `eigen_multiplicity` take them; no n x n list is made.
+Each of the three multiplicity routes builds its own L - I: the exact
+route here from the neighbour lists, the peeling from the edge set, and
+`verify`'s Berkowitz route from the edge list, so that a defect in one
+builder cannot reach two routes.  The engines never change the rows
+they are given.
 """
 
 from __future__ import annotations
@@ -32,56 +31,17 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .graphs import Graph, pendant_profile
 
 
-class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(map(int, row)) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = cols or 0
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = width
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.data))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-    def __str__(self) -> str:
-        if not self.data:
-            return f"[] ({self.rows}x{self.cols})"
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
-
-
 class SparseIntMatrix:
-    """Row-sparse integer matrix: row i is a dict {column: nonzero int}.
+    """Row-sparse integer matrix: row i is a dict {column: int}.
 
-    The dicts are the caller's; `rank` copies them and leaves them as
-    they are.  Zero entries must be left out."""
+    The dicts are the caller's, and nothing here changes them.  Entries
+    left out are zero; a stored zero is allowed, and `rank` drops it."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -91,47 +51,38 @@ class SparseIntMatrix:
         self.cols = cols
 
 
-def adjacency(g: Graph) -> IntMatrix:
-    n = g.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        a[u][v] = a[v][u] = 1
-    return IntMatrix(a, cols=n)
+def adjacency(g: Graph) -> SparseIntMatrix:
+    """A, whose row v holds 1 on each neighbour of v."""
+    return SparseIntMatrix(
+        [dict.fromkeys(g.neighbors(v), 1) for v in range(g.n)], g.n)
 
 
-def laplacian(g: Graph) -> IntMatrix:
-    """L = D - A with D the degree diagonal."""
-    n = g.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        a[u][v] = a[v][u] = -1
-    for v in range(n):
-        a[v][v] = g.degree(v)
-    return IntMatrix(a, cols=n)
+def laplacian(g: Graph) -> SparseIntMatrix:
+    """L = D - A, whose row v holds -1 on each neighbour of v and deg(v)
+    on the diagonal, left out at an isolated vertex."""
+    rows = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        row = dict.fromkeys(nbrs, -1)
+        if nbrs:
+            row[v] = len(nbrs)
+        rows.append(row)
+    return SparseIntMatrix(rows, g.n)
 
 
-def _dict_rows(m: IntMatrix | SparseIntMatrix) -> list[dict[int, int]]:
-    """Row i of m as a new dict {column: nonzero int}: a dense row keeps
-    its nonzero entries, a sparse row is copied."""
-    if isinstance(m, SparseIntMatrix):
-        return [dict(row) for row in m.data]
-    return [dict(filter(itemgetter(1), enumerate(row))) for row in m.data]
-
-
-def rank(m: IntMatrix | SparseIntMatrix) -> int:
+def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals, by sparse fraction-free elimination.
 
-    The input is a dense `IntMatrix` or a `SparseIntMatrix`; only loading
-    the rows differs (a dense row keeps its nonzero entries, a sparse row
-    is copied), and the input is never changed.  Each row is a dict
-    {column: nonzero int}, and each column keeps the set of rows with an
-    entry in it.  Pivoting follows Markowitz ("The elimination form of
-    the inverse and its application to linear programming", Management
-    Science 3, 1957): a shortest remaining row, taken from a heap, in its
-    entry whose column is shortest.  Only the rows listed under the pivot
-    column change, each to ``a * row - b * pivot_row`` on the union of the
-    two supports and then divided by the gcd of its entries; the pivot
-    row is dropped.  The rank is the number of pivots.
+    Each row is copied on load, less any stored zeros, so the input is
+    never changed; each working row is a dict {column: nonzero int}, and
+    each column keeps the set of rows with an entry in it.  Pivoting
+    follows Markowitz ("The elimination form of the inverse and its
+    application to linear programming", Management Science 3, 1957): a
+    shortest remaining row, taken from a heap, in its entry whose column
+    is shortest.  Only the rows listed under the pivot column change,
+    each to ``a * row - b * pivot_row`` on the union of the two supports
+    and then divided by the gcd of its entries; the pivot row is dropped.
+    The rank is the number of pivots.
 
     Why sizes stay bounded.  After pivots on the rows P and columns Q of
     the input M, the rows still stored are the rows of the Schur
@@ -148,7 +99,11 @@ def rank(m: IntMatrix | SparseIntMatrix) -> int:
     """
     rows: dict[int, dict[int, int]] = {}
     cols: defaultdict[int, set[int]] = defaultdict(set)
-    for i, entries in enumerate(_dict_rows(m)):
+    for i, row in enumerate(m.data):
+        if 0 in row.values():
+            entries = {j: x for j, x in row.items() if x}
+        else:
+            entries = dict(row)
         if entries:
             rows[i] = entries
             for j in entries:
@@ -200,17 +155,16 @@ def rank(m: IntMatrix | SparseIntMatrix) -> int:
     return r
 
 
-def char_poly(m: IntMatrix | SparseIntMatrix) -> list[int]:
+def char_poly(m: SparseIntMatrix) -> list[int]:
     """Characteristic polynomial det(xI - M) by the division-free
     Berkowitz recurrence (Berkowitz, "On computing the determinant in
     small parallel time using a small number of processors", IPL 18,
     1984).  Coefficients ascending: index i holds the coefficient of x^i;
     the 0x0 matrix gives [1].
 
-    The input is a dense `IntMatrix` or a `SparseIntMatrix`; as in `rank`,
-    only loading the rows differs, and the input is never changed.  Step k
-    takes the polynomial of the leading k x k block B to that of the
-    leading (k+1) x (k+1) block, by the Toeplitz column 1, -M[k][k],
+    The rows are only read, never changed.  Step k takes the polynomial
+    of the leading k x k block B to that of the leading (k+1) x (k+1)
+    block, by the Toeplitz column 1, -M[k][k],
     -R C, -R B C, ..., -R B^(k-1) C, where R and C are row and column k
     cut to the block.  Each product B w reads only the stored entries of
     B's rows, so step k costs about k times the entries of B: O(n^2 m)
@@ -219,7 +173,7 @@ def char_poly(m: IntMatrix | SparseIntMatrix) -> list[int]:
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    rows = _dict_rows(m)
+    rows = m.data
     # block_cols[i], block_vals[i]: the entries of row i inside the block
     block_cols: list[list[int]] = []
     block_vals: list[list[int]] = []
@@ -287,19 +241,22 @@ def poly_root_multiplicity(coeffs: Sequence[int], lam: int | Fraction) -> int:
     return mult
 
 
-def eigen_multiplicity(m: IntMatrix, lam: int | Fraction) -> int:
-    """Multiplicity of the rational eigenvalue lam: n - rank(den*M - num*I)."""
-    if not m.is_square():
+def eigen_multiplicity(m: SparseIntMatrix, lam: int | Fraction) -> int:
+    """Multiplicity of the eigenvalue lam of M: n - rank(M - lam I).
+
+    The characteristic polynomial of an integer matrix is monic with
+    integer coefficients, so its rational roots are integers: a lam that
+    is not an integer gives 0 without any elimination."""
+    if m.rows != m.cols:
         raise ValueError("eigenvalue multiplicity needs a square matrix")
-    lam = Fraction(lam)
-    num, den = lam.numerator, lam.denominator
+    if lam.denominator != 1:
+        return 0
+    lam = lam.numerator
     shifted = []
     for i, row in enumerate(m.data):
-        entries = {j: den * x for j, x in enumerate(row) if x}
-        diagonal = entries.pop(i, 0) - num
-        if diagonal:
-            entries[i] = diagonal
-        shifted.append(entries)
+        row = dict(row)
+        row[i] = row.get(i, 0) - lam
+        shifted.append(row)
     return m.rows - rank(SparseIntMatrix(shifted, m.cols))
 
 
@@ -407,28 +364,28 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
     return zeros + len(core) - rank(SparseIntMatrix(rows, len(core)))
 
 
-def internal_submatrix(g: Graph) -> IntMatrix:
-    """Principal submatrix of L(g) on vertices that are neither pendant
-    nor quasi-pendant (possibly 0x0)."""
+def internal_submatrix(g: Graph) -> SparseIntMatrix:
+    """L_N, the principal submatrix of L(g) on the vertices that are
+    neither pendant nor quasi-pendant (possibly 0x0), renumbered in
+    increasing order."""
     prof = pendant_profile(g)
-    skip = set(prof.pendants) | set(prof.quasi_pendants)
-    keep = [v for v in range(g.n) if v not in skip]
-    lap = laplacian(g).data
-    return IntMatrix([[lap[i][j] for j in keep] for i in keep], cols=len(keep))
+    skip = set(prof.pendants).union(prof.quasi_pendants)
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in skip)}
+    rows = []
+    for v in index:
+        nbrs = g.neighbors(v)
+        row = {index[w]: -1 for w in nbrs if w in index}
+        if nbrs:
+            row[index[v]] = len(nbrs)
+        rows.append(row)
+    return SparseIntMatrix(rows, len(index))
 
 
 def integer_laplacian_eigenvalues(g: Graph) -> list[tuple[int, int]]:
     """All integer Laplacian eigenvalues with exact multiplicities, read
-    off the characteristic polynomial of L, which is built as sparse rows.
-    Laplacian eigenvalues lie in [0, n], so only that window is scanned."""
-    rows = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        row = dict.fromkeys(nbrs, -1)
-        if nbrs:
-            row[v] = len(nbrs)
-        rows.append(row)
-    coeffs = char_poly(SparseIntMatrix(rows, g.n))
+    off the characteristic polynomial of L.  Laplacian eigenvalues lie in
+    [0, n], so only that window is scanned."""
+    coeffs = char_poly(laplacian(g))
     out = []
     for lam in range(g.n + 1):
         k = poly_root_multiplicity(coeffs, lam)

@@ -62,9 +62,9 @@ from .linalg import (
     char_poly,
     eigen_multiplicity,
     integer_laplacian_eigenvalues,
+    internal_submatrix,
     laplacian_multiplicity_one,
     multiplicity_one_by_peeling,
-    rank,
 )
 from .reduction import (
     contract_line_P4,
@@ -222,22 +222,13 @@ def _class_G(max_n: int, seed: int, n_random: int) -> Source:
 
 def _faria_eq2(g: Graph, g6: str, me: int, prof: PendantProfile) -> list[dict]:
     """Faria's bound m >= p - q and equation (2), m = p - q + m_N, with
-    m_N the nullity of L_N - I for the principal submatrix L_N of L on
-    the vertices that are neither pendant nor quasi-pendant.  Its rows
-    are built sparse from the adjacency lists."""
+    m_N the multiplicity of 1 as an eigenvalue of L_N, the principal
+    submatrix of L on the vertices that are neither pendant nor
+    quasi-pendant, as `internal_submatrix` builds it."""
     viol = []
     if me < prof.p - prof.q:
         viol.append(_violation(g6, f"m >= p-q = {prof.p - prof.q}", me, "faria"))
-    skip = set(prof.pendants).union(prof.quasi_pendants)
-    index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in skip)}
-    rows = []
-    for v in index:
-        nbrs = g.neighbors(v)
-        row = {index[w]: -1 for w in nbrs if w in index}
-        if len(nbrs) != 1:
-            row[index[v]] = len(nbrs) - 1
-        rows.append(row)
-    m_inner = len(index) - rank(SparseIntMatrix(rows, len(index)))
+    m_inner = eigen_multiplicity(internal_submatrix(g), 1)
     if me != prof.p - prof.q + m_inner:
         viol.append(
             _violation(g6, f"p-q+m_N = {prof.p - prof.q + m_inner}", me, "eq2")

@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch, without touching
 the package's own algorithms, so that agreement between the two is
 meaningful: Fraction Gaussian elimination for rank, determinant
-interpolation for characteristic polynomials, a string-based AHU code for
-tree isomorphism, Prufer-sequence tree generation, the class of the
-two bounds read off adjacency lists, and the classical counting formulas
+interpolation for characteristic polynomials, dense A, L and L_N built
+from an edge list, a string-based AHU code for tree isomorphism,
+Prufer-sequence tree generation, the class of the two bounds read off
+adjacency lists, and the classical counting formulas
 (Otter for free trees, the dihedral cycle index over rooted trees for
 unicyclic graphs).
 """
@@ -93,6 +94,33 @@ def charpoly_by_interpolation(rows: list[list[int]]) -> list[int]:
             coeffs[d] += scale * b
     assert all(c.denominator == 1 for c in coeffs)
     return [int(c) for c in coeffs]
+
+
+# -- graph matrices ----------------------------------------------------------
+
+def adjacency_matrix(n: int, edges) -> list[list[int]]:
+    """Dense A of the simple graph on 0..n-1 with the given edges."""
+    a = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        a[u][v] = a[v][u] = 1
+    return a
+
+
+def laplacian_matrix(n: int, edges) -> list[list[int]]:
+    """Dense L = D - A."""
+    a = adjacency_matrix(n, edges)
+    return [[sum(a[i]) if i == j else -a[i][j] for j in range(n)]
+            for i in range(n)]
+
+
+def internal_laplacian_matrix(n: int, edges) -> list[list[int]]:
+    """Dense L_N: L restricted to the vertices, in increasing order, that
+    are neither pendant (degree 1) nor adjacent to a pendant."""
+    lap = laplacian_matrix(n, edges)
+    pendant = {v for v in range(n) if lap[v][v] == 1}
+    near = {w for v in pendant for w in range(n) if lap[v][w] == -1}
+    keep = [v for v in range(n) if v not in pendant and v not in near]
+    return [[lap[i][j] for j in keep] for i in keep]
 
 
 # -- tree isomorphism oracle -------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact linear algebra, cross-checked against Fraction elimination and
-determinant-interpolation oracles."""
+"""Exact linear algebra, cross-checked against Fraction elimination,
+determinant-interpolation and dense matrix-builder oracles."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from lap1.graphs import (
     star_graph,
 )
 from lap1.linalg import (
-    IntMatrix,
     SparseIntMatrix,
     adjacency,
     char_poly,
@@ -45,35 +44,81 @@ from families import caterpillar, circulant, sun
 from oracles import charpoly_by_interpolation, fraction_rank
 
 
+def sparse(rows: list[list[int]], cols: int | None = None) -> SparseIntMatrix:
+    """The dense rows as a SparseIntMatrix, zero entries left out; cols
+    is needed only when there are no rows."""
+    width = len(rows[0]) if rows else cols or 0
+    return SparseIntMatrix(
+        [{j: x for j, x in enumerate(row) if x} for row in rows], width)
+
+
+def dense(m: SparseIntMatrix) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(m.cols)] for row in m.data]
+
+
+def minus_lam(rows: list[list[int]], lam: int) -> list[list[int]]:
+    """M - lam I."""
+    return [[x - lam * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def small_graphs() -> list[Graph]:
+    """Every tree and unicyclic graph of order <= 8, 50 seeded random
+    graphs of order <= 12 at assorted densities, and a few graphs with
+    isolated vertices."""
+    graphs = [t for n in range(1, 9) for t in free_trees(n)]
+    graphs += [g for n in range(3, 9) for g in unicyclic_graphs(n)]
+    rng = random.Random(43)
+    for _ in range(50):
+        n, p = rng.randint(1, 12), rng.random()
+        graphs.append(Graph(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n) if rng.random() < p]))
+    graphs += [Graph(0), Graph(3), disjoint_union(star_graph(3), Graph(2))]
+    return graphs
+
+
 class TestMatrices:
     def test_laplacian_examples(self):
-        assert laplacian(path_graph(2)).data == ((1, -1), (-1, 1))
-        assert laplacian(Graph(1)).data == ((0,),)
-        assert laplacian(path_graph(3)).data == (
-            (1, -1, 0),
-            (-1, 2, -1),
-            (0, -1, 1),
-        )
+        assert dense(laplacian(path_graph(2))) == [[1, -1], [-1, 1]]
+        assert dense(laplacian(Graph(1))) == [[0]]
+        assert dense(laplacian(path_graph(3))) == [
+            [1, -1, 0],
+            [-1, 2, -1],
+            [0, -1, 1],
+        ]
 
     def test_symmetry_and_row_sums(self):
         for g in [spider([3, 2, 1]), cycle_graph(8), star_graph(6)]:
-            lap = laplacian(g)
-            adj = adjacency(g)
-            assert lap.data == tuple(zip(*lap.data))
-            assert adj.data == tuple(zip(*adj.data))
-            assert all(sum(row) == 0 for row in lap.data)
-            assert all(adj.data[i][i] == 0 for i in range(g.n))
+            lap = dense(laplacian(g))
+            adj = dense(adjacency(g))
+            assert lap == [list(col) for col in zip(*lap)]
+            assert adj == [list(col) for col in zip(*adj)]
+            assert all(sum(row) == 0 for row in lap)
+            assert all(adj[i][i] == 0 for i in range(g.n))
 
-    def test_printable(self):
-        assert str(IntMatrix([[1, -2], [3, 4]])) == "1 -2\n3 4"
+    def test_builders_match_the_dense_oracles(self):
+        graphs = small_graphs()
+        assert len(graphs) == 48 + 143 + 50 + 3
+        for g in graphs:
+            built = (adjacency(g), laplacian(g), internal_submatrix(g))
+            expected = (
+                oracles.adjacency_matrix(g.n, g.edges),
+                oracles.laplacian_matrix(g.n, g.edges),
+                oracles.internal_laplacian_matrix(g.n, g.edges),
+            )
+            for m, rows in zip(built, expected):
+                assert (m.rows, m.cols) == (len(rows), len(rows))
+                assert dense(m) == rows
+                # the builders store no zeros
+                assert all(all(row.values()) for row in m.data)
 
 
 class TestRank:
     def test_examples(self):
-        assert rank(IntMatrix([[0, -1, 0], [-1, 1, -1], [0, -1, 0]])) == 2
-        assert rank(IntMatrix([[int(i == j) for j in range(5)] for i in range(5)])) == 5
-        assert rank(IntMatrix([[0] * 4] * 4)) == 0
-        assert rank(IntMatrix([], cols=0)) == 0
+        assert rank(sparse([[0, -1, 0], [-1, 1, -1], [0, -1, 0]])) == 2
+        assert rank(sparse([[int(i == j) for j in range(5)] for i in range(5)])) == 5
+        assert rank(sparse([[0] * 4] * 4)) == 0
+        assert rank(SparseIntMatrix([], 0)) == 0
 
     @given(
         st.integers(1, 6),
@@ -85,7 +130,7 @@ class TestRank:
         rows = [
             [data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(r)
         ]
-        assert rank(IntMatrix(rows)) == fraction_rank(rows)
+        assert rank(sparse(rows)) == fraction_rank(rows)
 
     def test_rank_deficient_with_column_skips(self):
         rows = [
@@ -93,7 +138,28 @@ class TestRank:
             [0, 0, 4, 2],
             [0, 0, 6, 3],
         ]
-        assert rank(IntMatrix(rows)) == 1
+        assert rank(sparse(rows)) == 1
+
+    def test_stored_zeros(self):
+        # a stored zero is no entry: it neither counts as a pivot nor
+        # becomes one
+        assert rank(SparseIntMatrix([{0: 0}], 1)) == 0 == fraction_rank([[0]])
+        rows = [{0: 0, 1: 1}, {1: 1}]
+        assert rank(SparseIntMatrix(rows, 2)) == 1 == fraction_rank([[0, 1], [0, 1]])
+        assert rows == [{0: 0, 1: 1}, {1: 1}]
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sprinkled_zeros_against_fraction_elimination(self, r, c, data):
+        entry = st.integers(-9, 9)
+        rows = [[data.draw(entry) if data.draw(st.booleans()) else 0
+                 for _ in range(c)] for _ in range(r)]
+        # each row stores its nonzero entries and some of its zeros
+        stored = [{j: x for j, x in enumerate(row)
+                   if x or data.draw(st.booleans())} for row in rows]
+        before = [dict(row) for row in stored]
+        assert rank(SparseIntMatrix(stored, c)) == fraction_rank(rows)
+        assert stored == before
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 100), st.data())
     @settings(max_examples=200, deadline=None)
@@ -107,12 +173,10 @@ class TestRank:
              for _ in range(c)]
             for _ in range(r)
         ]
-        expected = fraction_rank(rows)
-        assert rank(IntMatrix(rows)) == expected
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        before = [dict(row) for row in sparse]
-        assert rank(SparseIntMatrix(sparse, c)) == expected
-        assert sparse == before
+        m = sparse(rows)
+        before = [dict(row) for row in m.data]
+        assert rank(m) == fraction_rank(rows)
+        assert list(m.data) == before
 
     def test_products_of_thin_factors(self):
         rng = random.Random(31)
@@ -124,12 +188,12 @@ class TestRank:
                 [sum(x * right[t][j] for t, x in enumerate(row)) for j in range(c)]
                 for row in left
             ]
-            got = rank(IntMatrix(rows))
+            got = rank(sparse(rows))
             assert got == fraction_rank(rows) and got <= k
 
     def test_zero_lines_and_wide_and_tall_shapes(self):
-        assert rank(IntMatrix([[0] * 7] * 3)) == 0
-        assert rank(IntMatrix([], cols=5)) == 0
+        assert rank(sparse([[0] * 7] * 3)) == 0
+        assert rank(SparseIntMatrix([], 5)) == 0
         rng = random.Random(37)
         for r, c in ((1, 12), (12, 1), (3, 20), (20, 3), (2, 2), (9, 9)):
             for _ in range(20):
@@ -140,7 +204,7 @@ class TestRank:
                 for j in rng.sample(range(c), c // 3):
                     for row in rows:
                         row[j] = 0
-                assert rank(IntMatrix(rows)) == fraction_rank(rows)
+                assert rank(sparse(rows)) == fraction_rank(rows)
 
     def test_shifted_laplacians_of_relabelled_sparse_graphs(self):
         rng = random.Random(41)
@@ -157,11 +221,9 @@ class TestRank:
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = g.relabel(perm)
-            lap = laplacian(h).data
-            rows = [[x - (i == j) for j, x in enumerate(row)]
-                    for i, row in enumerate(lap)]
+            rows = minus_lam(oracles.laplacian_matrix(h.n, h.edges), 1)
             expected = fraction_rank(rows)
-            assert rank(IntMatrix(rows)) == expected
+            assert rank(sparse(rows, h.n)) == expected
             assert laplacian_multiplicity_one(h) == g.n - expected
 
     def test_dense_full_rank_entries_stay_small(self):
@@ -169,7 +231,7 @@ class TestRank:
         # entries double in length at every pivot, and this takes over 20 s
         rng = random.Random(0)
         rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
-        m = IntMatrix(rows)
+        m = sparse(rows)
         t0 = time.perf_counter()
         assert rank(m) == 24
         assert time.perf_counter() - t0 < 1.0
@@ -181,30 +243,32 @@ class TestCharPoly:
         assert char_poly(laplacian(path_graph(2))) == [0, -2, 1]
         assert char_poly(laplacian(Graph(1))) == [0, 1]
         assert char_poly(laplacian(path_graph(3))) == [0, 3, -4, 1]
-        assert char_poly(IntMatrix([], cols=0)) == [1]
+        assert char_poly(SparseIntMatrix([], 0)) == [1]
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            char_poly(IntMatrix([[1, 2, 3]]))
+            char_poly(sparse([[1, 2, 3]]))
         with pytest.raises(ValueError):
             char_poly(SparseIntMatrix([{0: 1}], 2))
 
     @given(st.integers(0, 6), st.integers(0, 100), st.data())
     @settings(max_examples=200, deadline=None)
     def test_against_interpolation_oracle(self, n, density, data):
-        # non-symmetric, at every density, in both input forms
+        # non-symmetric, at every density, with zeros left out and with
+        # every zero stored
         percent = st.integers(0, 99)
         rows = [
             [data.draw(st.integers(-9, 9)) if data.draw(percent) < density else 0
              for _ in range(n)]
             for _ in range(n)
         ]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        before = [dict(row) for row in sparse]
+        m = sparse(rows, n)
+        every_zero = SparseIntMatrix([dict(enumerate(row)) for row in rows], n)
+        before = [dict(row) for row in m.data]
         expected = charpoly_by_interpolation(rows)
-        assert char_poly(IntMatrix(rows)) == expected
-        assert char_poly(SparseIntMatrix(sparse, n)) == expected
-        assert sparse == before
+        assert char_poly(m) == expected
+        assert char_poly(every_zero) == expected
+        assert list(m.data) == before
 
     def test_root_multiplicity(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2
@@ -251,11 +315,25 @@ class TestMultiplicities:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            eigen_multiplicity(IntMatrix([[1, 2, 3]]), 1)
+            eigen_multiplicity(sparse([[1, 2, 3]]), 1)
 
     def test_rational_targets(self):
-        assert eigen_multiplicity(IntMatrix([[1, 0], [0, 3]]), Fraction(1, 2)) == 0
-        assert eigen_multiplicity(IntMatrix([[1, 0], [0, 1]]), Fraction(2, 2)) == 2
+        # an integer matrix has only integer rational eigenvalues
+        assert eigen_multiplicity(sparse([[1, 0], [0, 3]]), Fraction(1, 2)) == 0
+        assert eigen_multiplicity(sparse([[1, 0], [0, 1]]), Fraction(2, 2)) == 2
+        assert eigen_multiplicity(laplacian(star_graph(3)), Fraction(1, 2)) == 0
+
+    def test_against_fraction_rank_of_the_shifted_oracles(self):
+        # orders <= 7 keep the Fraction eliminations to about 2 s
+        for g in (g for g in small_graphs() if g.n <= 7):
+            for build, oracle in ((adjacency, oracles.adjacency_matrix),
+                                  (laplacian, oracles.laplacian_matrix),
+                                  (internal_submatrix,
+                                   oracles.internal_laplacian_matrix)):
+                m, rows = build(g), oracle(g.n, g.edges)
+                for lam in range(-2, g.n + 2):
+                    assert eigen_multiplicity(m, lam) == m.rows - fraction_rank(
+                        minus_lam(rows, lam))
 
     def test_additive_over_components(self):
         g = disjoint_union(cycle_graph(6), disjoint_union(path_graph(6), star_graph(3)))
@@ -269,7 +347,8 @@ class TestMultiplicities:
         m = internal_submatrix(star_graph(3))
         assert (m.rows, m.cols) == (0, 0)
         assert eigen_multiplicity(m, 1) == 0
-        assert internal_submatrix(cycle_graph(6)) == laplacian(cycle_graph(6))
+        c6 = cycle_graph(6)
+        assert dense(internal_submatrix(c6)) == dense(laplacian(c6))
         m = internal_submatrix(path_graph(4))
         assert (m.rows, m.cols) == (0, 0)
 
@@ -311,7 +390,7 @@ class TestMultiplicities:
                 if rng.random() < 0.4
             ]
             g = Graph(n, edges)
-            ev = numpy.linalg.eigvalsh(numpy.array(laplacian(g).data, dtype=float))
+            ev = numpy.linalg.eigvalsh(numpy.array(dense(laplacian(g)), dtype=float))
             assert laplacian_multiplicity_one(g) == sum(
                 1 for e in ev if abs(e - 1) < 1e-8
             )

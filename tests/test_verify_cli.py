@@ -16,7 +16,14 @@ import lap1.linalg as linalg
 import lap1.verify as verify
 from lap1.canon import canonical_form
 from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
-from lap1.graphs import Graph, disjoint_union, path_graph, spider, star_graph
+from lap1.graphs import (
+    Graph,
+    disjoint_union,
+    path_graph,
+    pendant_profile,
+    spider,
+    star_graph,
+)
 from lap1.linalg import laplacian_multiplicity_one
 from lap1.reduction import ReductionTrace
 from lap1.verify import (
@@ -202,6 +209,29 @@ class TestSuites:
             clear_caches()
         assert r.graphs_checked == graphs
         assert Counter(v["rule"] for v in r.violations) == rules
+
+    def test_eq2_reads_the_internal_submatrix(self, monkeypatch):
+        # with the whole L in place of L_N, m_N is m itself, so equation
+        # (2) holds only where p = q: it must be reported on each checked
+        # graph with p > q, and no other rule may fire
+        seen = []
+
+        def whole_laplacian(g):
+            prof = pendant_profile(g)
+            seen.append((to_graph6(g), prof.p > prof.q))
+            return linalg.laplacian(g)
+
+        clear_caches()
+        monkeypatch.setattr(verify, "internal_submatrix", whole_laplacian)
+        try:
+            r = verify_thm1(max_n=6, n_random=10, seed=1)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert len(seen) == r.graphs_checked == 45
+        assert Counter(v["rule"] for v in r.violations) == {"eq2": 16}
+        assert sorted(v["graph6"] for v in r.violations) == sorted(
+            g6 for g6, more in seen if more)
 
     def test_mutation_in_rank_is_caught(self, monkeypatch):
         # an off-by-one rank breaks the rank route but not the Berkowitz
