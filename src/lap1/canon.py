@@ -1,31 +1,18 @@
-"""Exact canonical forms: equal strings iff isomorphic.
+"""Exact canonical forms of the paper's graphs: equal strings iff
+isomorphic, for graphs whose every component has at most as many edges
+as vertices (forests, unicyclic graphs and their disjoint unions).
 
-Each connected component is canonically labeled by an algorithm suited to
-its shape, then components are ordered by their canonical keys:
+Each connected component is canonically labeled, then components are
+ordered by their canonical keys.  Leaves are stripped down to the core,
+the one or two centers of a tree or the unique cycle.  AHU codes of the
+trees hanging off the core, flat strings so that depth never hits the
+recursion limit, are read in the least order of the core: centers sorted
+by code, the cycle in the rotation/reflection-minimal word found by a
+linear-time least rotation scan in each direction.  A tree is the acyclic
+case of the same labeller, and a code costs about order times depth.
 
-* trees and unicyclic components: leaves are stripped down to the core,
-  the one or two centers of a tree or the unique cycle.  AHU codes of the
-  trees hanging off the core, flat strings so that depth never hits the
-  recursion limit, are read in the least order of the core: centers
-  sorted by code, the cycle in the rotation/reflection-minimal word found
-  by a linear-time least rotation scan in each direction.  A tree is the
-  acyclic case of the same labeller;
-* everything else: degree refinement with individualization, minimizing
-  the adjacency bitstring over the explored labelings.  The search
-  branches on one representative per twin class, and prunes with the
-  automorphisms it finds (McKay & Piperno, "Practical graph isomorphism,
-  II", 2014): two leaves with equal bitstrings give an automorphism, and
-  a child in the same orbit as an explored sibling, under the
-  automorphisms fixing the path to their node, is skipped.  A pruned
-  subtree is the image of an explored one, so the minimum, and the first
-  labeling that attains it, are the same as without this pruning.
-
-Both are complete invariants, so the dispatch (which is itself
-isomorphism-invariant) preserves the equal-iff-isomorphic contract.
-Tree and unicyclic codes cost about order times depth.  The general
-search has no polynomial bound, but vertex-transitive graphs up to 64
-vertices (the hypercube Q6, the 6 x 6 rook's graph) finish in under a
-second.
+A component with more edges than vertices raises ValueError: no
+enumeration, verify check or reduction labels one.
 """
 
 from __future__ import annotations
@@ -169,129 +156,21 @@ def _core_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
     return out
 
 
-def _general_component_order(g: Graph, comp: Sequence[int]) -> list[int]:
-    idx = {v: i for i, v in enumerate(comp)}
-    k = len(comp)
-    nbrs = [[idx[w] for w in g.neighbors(v)] for v in comp]
-    masks = [sum(1 << w for w in nb) for nb in nbrs]
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        changed = True
-        while changed:
-            changed = False
-            cell_of = [0] * k
-            for ci, c in enumerate(cells):
-                for v in c:
-                    cell_of[v] = ci
-            ncells = len(cells)
-            out = []
-            for c in cells:
-                if len(c) == 1:
-                    out.append(c)
-                    continue
-                # sig[i] = number of v's neighbours in cell i
-                groups: dict[tuple, list[int]] = {}
-                for v in c:
-                    sig = [0] * ncells
-                    for w in nbrs[v]:
-                        sig[cell_of[w]] += 1
-                    groups.setdefault(tuple(sig), []).append(v)
-                if len(groups) > 1:
-                    changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-            cells = out
-        return cells
-
-    def bits_key(order: list[int]) -> int:
-        key = 0
-        for j in range(1, k):
-            mo = masks[order[j]]
-            for i in range(j):
-                key = (key << 1) | ((mo >> order[i]) & 1)
-        return key
-
-    # Leaves with equal keys differ by an automorphism: order[i] -> other[i].
-    first: list = [None, None]  # key, order of the first leaf
-    best: list = [None, None]  # key, order of the first minimal leaf
-    autos: list[list[int]] = []
-
-    def leaf(order: list[int]) -> None:
-        kk = bits_key(order)
-        for key, seen in (best, first):
-            if kk == key:
-                perm = [0] * k
-                for a, b in zip(seen, order):
-                    perm[a] = b
-                autos.append(perm)
-                break
-        if first[0] is None:
-            first[0], first[1] = kk, order
-        if best[0] is None or kk < best[0]:
-            best[0], best[1] = kk, order
-
-    def rec(cells: list[list[int]], prefix: list[int]) -> None:
-        cells = refine(cells)
-        target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            leaf([c[0] for c in cells])
-            return
-        cell = cells[target]
-        # Branch once per twin class: swapping twins is an automorphism,
-        # so pruned branches cannot change the minimum.
-        classes: list[list[int]] = []
-        for v in cell:
-            for cls in classes:
-                u = cls[0]
-                if masks[u] == masks[v] or (
-                    masks[u] | (1 << u)
-                ) == (masks[v] | (1 << v)):
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
-        # Orbit pruning: an automorphism fixing the prefix pointwise maps
-        # this node to itself and the child of v to the child of its
-        # image, whose subtree then holds the same keys.  Orbits are merged
-        # by union-find over the automorphisms found so far.
-        orbit = {v: v for v in cell}
-
-        def find(v: int) -> int:
-            while orbit[v] != v:
-                orbit[v] = orbit[orbit[v]]
-                v = orbit[v]
-            return v
-
-        used = 0
-        explored: list[int] = []
-        for cls in classes:
-            v = cls[0]
-            for perm in autos[used:]:
-                if all(perm[p] == p for p in prefix):
-                    for u in cell:
-                        orbit[find(u)] = find(perm[u])
-            used = len(autos)
-            root = find(v)
-            if any(find(u) == root for u in explored):
-                continue
-            explored.append(v)
-            rest = [w for w in cell if w != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1 :], prefix + [v])
-
-    rec([list(range(k))], [])
-    return [comp[i] for i in best[1]]
-
-
 def _component_order(g: Graph, comp: Sequence[int], m: int) -> list[int]:
     if len(comp) == 1:
         return list(comp)
-    if m <= len(comp):
-        return _core_component_order(g, comp)
-    return _general_component_order(g, comp)
+    if m > len(comp):
+        raise ValueError(
+            f"a component has {m} edges on {len(comp)} vertices, more edges"
+            " than vertices; canonical forms cover trees and unicyclic"
+            " components only"
+        )
+    return _core_component_order(g, comp)
 
 
 def canonical_labeling(g: Graph) -> list[int]:
-    """Old vertices listed in canonical order (position = new label)."""
+    """Old vertices listed in canonical order (position = new label).
+    Raises ValueError on a component with more edges than vertices."""
     comps = g.components()
     if len(comps) <= 1:
         return _component_order(g, comps[0], g.edge_count) if comps else []

@@ -3,7 +3,8 @@
 Subcommands: mult, reduce, enumerate, verify, extremal.  Reports are JSON
 on stdout (or --json-out PATH), human summaries go to stderr.  Exit
 codes: 0 clean, 1 violations found, 2 usage or parse error, 3 internal
-inconsistency (fast and exact engines disagree).
+inconsistency (fast and exact engines disagree), 4 internal error (an
+unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from collections.abc import Callable
 from pathlib import Path
 
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL = 4
 
 
 def _no_pendant_p3(g: Graph) -> bool:
@@ -308,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -34,10 +34,11 @@ O((n + m) log n).
 A trace records what each step deleted, not the graphs: a rewrite keeps
 the sorted input labels it deleted, a terminal rule the input labels of
 its component and its residual.  Its JSON is the input as an edge list,
-then {rule, vertices, offset} per step and the total, all O(n + m), with
-no canonical labelling.  A step's `before` and `after` rebuild its graph
-from the input and label it on every read; only `lap1 reduce`, whose
-traces are small, writes them.
+then {rule, vertices, offset} per step and the total, all O(n + m).  A
+step's `before` and `after` rebuild its graph from the input on every
+read and write it in graph6: the input minus the earlier deletions,
+survivors in input order, and for a terminal rule the input's subgraph
+on its component.  Nothing here labels a graph canonically.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
-from .canon import canonical_form
-from .graph6 import write_edge_list
+from .graph6 import to_graph6, write_edge_list
 from .graphs import (
     Graph,
     PathLocation,
@@ -73,11 +73,12 @@ EXACT_RANK_FALLBACK = "ExactRankFallback"
 @dataclass(frozen=True)
 class ReductionStep:
     """One rule application: its rule, the vertices it names and its
-    offset to the multiplicity.  A rewrite names the input labels it
-    deleted, sorted, and a terminal rule the input labels of its
-    component, with the residual as its offset.  `before` and `after`
-    are the canonical forms of the graph before and after the step,
-    rebuilt on every read and never kept."""
+    offset to the multiplicity.  A clustering or P_3 step names the
+    input labels it deleted, sorted, a ReductionOperation its pendant and
+    that pendant's neighbour in the labels of its `before`, and a terminal
+    rule the input labels of its component, with the residual as its
+    offset.  `before` and `after` are the graph6 of the graph before and
+    after the step, rebuilt on every read and never kept."""
 
     rule: str
     vertices: tuple[int, ...]
@@ -180,8 +181,8 @@ def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
         u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
         before, cur = cur, reduction_operation(cur, u, target)
         steps.append(ReductionStep(REDUCTION_OPERATION, (u, target), 0,
-                                   partial(canonical_form, before),
-                                   partial(canonical_form, cur)))
+                                   partial(to_graph6, before),
+                                   partial(to_graph6, cur)))
 
 
 def reduced_graph_steps(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
@@ -192,8 +193,8 @@ def reduced_graph_steps(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     if not drop:
         return result, ()
     return result, (ReductionStep(PENDANT_CLUSTER, drop, len(drop),
-                                  partial(canonical_form, g),
-                                  partial(canonical_form, result)),)
+                                  partial(to_graph6, g),
+                                  partial(to_graph6, result)),)
 
 
 def _check_pendant_p3(g: Graph, path: PathLocation) -> None:
@@ -303,11 +304,11 @@ class _Replay:
 
     def form(self, i: int) -> str:
         drop = set().union(*self.deleted[:i])
-        return canonical_form(self.g.delete_vertices(drop)[0])
+        return to_graph6(self.g.delete_vertices(drop)[0])
 
     def component_form(self, vs: tuple[int, ...]) -> str:
         drop = set(range(self.g.n)).difference(vs)
-        return canonical_form(self.g.delete_vertices(drop)[0])
+        return to_graph6(self.g.delete_vertices(drop)[0])
 
 
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:

@@ -1,6 +1,6 @@
 """Graph families built in code for the tests: the extremal shapes, which
-reach any order, highly symmetric graphs, which stress canonical
-labelling, and seeded random trees and relabellings."""
+reach any order, circulants and the Petersen graph, and seeded random
+trees and relabellings."""
 
 from __future__ import annotations
 
@@ -37,26 +37,6 @@ def sun(k: int) -> Graph:
 def circulant(n: int, k: int) -> Graph:
     """C_n(1, k): vertex i joined to i +- 1 and i +- k (mod n)."""
     return Graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, k)])
-
-
-def hypercube(d: int) -> Graph:
-    """Q_d: bit strings of length d, joined when they differ in one bit."""
-    n = 1 << d
-    return Graph(n, [(u, u | 1 << i) for u in range(n) for i in range(d)
-                     if not u >> i & 1])
-
-
-def rook(r: int) -> Graph:
-    """The r x r rook's graph: cells joined when they share a row or column."""
-    return Graph(r * r, [(u, v) for u, v in combinations(range(r * r), 2)
-                         if u // r == v // r or u % r == v % r])
-
-
-def paley(q: int) -> Graph:
-    """Paley graph of a prime q = 1 (mod 4): a ~ b iff a - b is a square."""
-    squares = {x * x % q for x in range(1, q)}
-    return Graph(q, [(a, b) for a, b in combinations(range(q), 2)
-                     if (b - a) % q in squares])
 
 
 def petersen() -> Graph:

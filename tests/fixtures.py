@@ -7,7 +7,9 @@ oracles.py before being frozen here):
 * A001429: connected unicyclic graphs by vertex count
 
 CANONICAL_FORMS pins `canonical_form` output byte for byte, so that a
-faster labeller cannot change a single trace or enumeration string.
+faster labeller cannot change a single enumeration string.
+GENERAL_GRAPHS are graphs with a component of more edges than vertices,
+which `canonical_form` must refuse.
 
 TRACES pins `multiplicity_fast(g)[1].to_json()` byte for byte, so that a
 change to how the trace is built cannot change what it says.
@@ -51,30 +53,6 @@ UNICYCLIC_COUNTS = {
 # produced by the labeller with twin pruning only, before automorphism
 # pruning and string AHU codes were added.
 CANONICAL_FORMS = [
-    # general
-    ("petersen", "IWQX_TO_W", "I?LRCecq?"),
-    ("Q3", "G]EIPK", "G?]uf?"),
-    ("Q4", "O`P_cgAcGECOWCBB@CsPO", "O?????NKqiLGd_i_X_F_?"),
-    ("paley13", "Ldfa]ak]bBewAz", "L@TjdM\\mEUySxD"),
-    ("rook4", "Oaag_SfK`Q{BfcoxMcAqP", "O?KqipdYckRGhHiEWLMCk"),
-    ("rook3", "Ha]TXj`", "HBYleVS"),
-    ("K4", "C~", "C~"),
-    ("K6", "E~~w", "E~~w"),
-    ("K33", "EFz_", "EFz_"),
-    ("L(K5)", "InJlzrLew", "IJm}mveyW"),
-    ("circulant(12;1,5)", "Kbc`APgDkMOw", "K??@xzKrF_]?"),
-    ("circulant(10;1,3)", "IlaaXDXFO", "I?@|urg{?"),
-    ("wheel7", "FY{[W", "FBjFw"),
-    ("theta", "FbAgo", "F@Q^?"),
-    ("random(n=5)", "DLK", "DmC"),
-    ("random(n=7)", "Fg^C_", "F@UeW"),
-    ("random(n=8)", "GyAwiW", "G@Q@~w"),
-    ("random(n=9)", "HKwAEGf", "H?EHItq"),
-    ("random(n=10)", "IW@gIPOg?", "I?Ca?KXgW"),
-    ("random(n=11)", "JskObdM?II_", "J??O|PXXnW?"),
-    ("random(n=12)", "Kg@UmxqTOOCF", "K_S?G[eElMEn"),
-    ("random(n=12)", "Kl`AT_l[lP?C", "K??H_{cWWxzT"),
-    ("random(n=14)", "Mg@D[AA|Lc?pGhq??", "M@??GS@DIDHeeFJy_"),
     # tree
     ("P1", "@", "@"),
     ("P2", "A_", "A_"),
@@ -100,6 +78,8 @@ CANONICAL_FORMS = [
     ("unicyclic(n=9)", "H?IUAQA", "HhoGGC@"),
     ("unicyclic(n=12)", "K`@@PGAa?AO?", "KhGGGCA?K@?@"),
     ("unicyclic(n=15)", "N_O?h?AG?@gA_?A?@G?", "NhCOGCC_G?_@?@??_?O"),
+    # drawn as a random graph, but it has 5 edges on 5 vertices
+    ("random(n=5)", "DLK", "DmC"),
     # forest
     ("P4+star3", "Go?[?_", "Gs?GOC"),
     ("3K1", "B?", "B?"),
@@ -107,8 +87,37 @@ CANONICAL_FORMS = [
     ("tree+tree", "O??A?OC?d?O?A?F??O_@?", "OpI?GC??G?_@?G??_?G?A"),
     # mixed
     ("C6+P5", "JK?OW?@aA@?", "JkC?GC@?GG_"),
-    ("petersen+K4+P3", "P??@IdCA?Oa_AEW@O???@KG?", "PoCWw??????B?I?K?HGAc?X?"),
-    ("rook3+C5+star2", "PGCAG__XC????BOgO?`L?@KO", "PoCGGc?????B?E?I_D_@d?LO"),
+]
+
+
+# (name, graph6 of a seeded random relabelling): vertex-transitive and
+# random graphs, and disjoint unions in which one component has more edges
+# than vertices.
+GENERAL_GRAPHS = [
+    ("petersen", "IWQX_TO_W"),
+    ("Q3", "G]EIPK"),
+    ("Q4", "O`P_cgAcGECOWCBB@CsPO"),
+    ("paley13", "Ldfa]ak]bBewAz"),
+    ("rook4", "Oaag_SfK`Q{BfcoxMcAqP"),
+    ("rook3", "Ha]TXj`"),
+    ("K4", "C~"),
+    ("K6", "E~~w"),
+    ("K33", "EFz_"),
+    ("L(K5)", "InJlzrLew"),
+    ("circulant(12;1,5)", "Kbc`APgDkMOw"),
+    ("circulant(10;1,3)", "IlaaXDXFO"),
+    ("wheel7", "FY{[W"),
+    ("theta", "FbAgo"),
+    ("random(n=7)", "Fg^C_"),
+    ("random(n=8)", "GyAwiW"),
+    ("random(n=9)", "HKwAEGf"),
+    ("random(n=10)", "IW@gIPOg?"),
+    ("random(n=11)", "JskObdM?II_"),
+    ("random(n=12)", "Kg@UmxqTOOCF"),
+    ("random(n=12)", "Kl`AT_l[lP?C"),
+    ("random(n=14)", "Mg@D[AA|Lc?pGhq??"),
+    ("petersen+K4+P3", "P??@IdCA?Oa_AEW@O???@KG?"),
+    ("rook3+C5+star2", "PGCAG__XC????BOgO?`L?@KO"),
 ]
 
 

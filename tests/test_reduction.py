@@ -9,13 +9,13 @@ import random
 import time
 import tracemalloc
 
+import networkx as nx
 import pytest
 
 import lap1.canon as canon
 import lap1.graph6 as graph6
 import lap1.linalg as linalg
 import lap1.reduction as reduction
-from lap1.canon import canonical_form
 from lap1.graphs import (
     Graph,
     cycle_graph,
@@ -50,14 +50,21 @@ from fixtures import TRACES
 from oracles import trace_faults
 
 
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
 def iso(a: Graph, b: Graph) -> bool:
-    return canonical_form(a) == canonical_form(b)
+    return nx.is_isomorphic(to_nx(a), to_nx(b))
 
 
 def with_forms(trace: reduction.ReductionTrace) -> dict:
-    """The trace in the JSON format of the canonical-form traces: the
-    input in graph6 and each step's forms before and after it, rebuilt
-    from the input and the vertices the steps name."""
+    """The trace in the JSON format of the pinned traces: the input in
+    graph6 and each step's graph6 before and after it, rebuilt from the
+    input and the vertices the steps name."""
     return {
         "input_g6": to_graph6(trace.graph),
         "steps": [{"rule": s.rule, "before_g6": s.before, "after_g6": s.after,
@@ -169,9 +176,9 @@ class TestFinalReduction:
             fr, steps = final_reduction_graph(g)
             assert 0 < len(steps) <= pendant_profile(g).q
             # each step starts from the graph the previous one produced
-            chain = [canonical_form(g)] + [s.after for s in steps]
+            chain = [to_graph6(g)] + [s.after for s in steps]
             assert [s.before for s in steps] == chain[:-1]
-            assert chain[-1] == canonical_form(fr)
+            assert chain[-1] == to_graph6(fr)
             assert all(s.rule == "ReductionOperation" and s.offset == 0
                        for s in steps)
 
@@ -329,7 +336,7 @@ class TestMultiplicityFast:
         assert m == 2
         assert [s.rule for s in trace.steps] == ["PendantCluster", "ExactRankFallback"]
         assert trace.steps[0].offset == 2
-        assert trace.steps[1].before == canonical_form(path_graph(2))
+        assert trace.steps[1].before == to_graph6(path_graph(2))
 
     def test_cycle_closed_form_rule(self):
         m, trace = multiplicity_fast(cycle_graph(12))
@@ -428,8 +435,8 @@ class TestMultiplicityFast:
 
         g = spider([3, 3, 2, 1, 1])
         m, trace = multiplicity_fast(g)
-        for module, name in ((reduction, "canonical_form"),
-                             (canon, "encode_graph6"),
+        for module, name in ((reduction, "to_graph6"),
+                             (canon, "_component_order"),
                              (graph6, "encode_graph6"), (graph6, "to_graph6")):
             monkeypatch.setattr(module, name, forbidden)
         payload = trace.to_json()
@@ -466,7 +473,7 @@ class TestMultiplicityFast:
             "DeletePendantP3",
         ):
             step = trace.steps[si]
-            assert canonical_form(cur) == step.before
+            assert to_graph6(cur) == step.before
             if step.rule == "PendantCluster":
                 cur, offset = reduced_graph(cur)
                 assert offset == step.offset
@@ -478,11 +485,11 @@ class TestMultiplicityFast:
                                          if p.vertices[0] in c)).is_tree()
                 )
                 cur = cur.delete_vertices(path.vertices)[0]
-            assert canonical_form(cur) == step.after
+            assert to_graph6(cur) == step.after
             si += 1
         terminal_forms = sorted(s.before for s in trace.steps[si:])
         comp_forms = sorted(
-            canonical_form(induced(cur, comp)) for comp in cur.components()
+            to_graph6(induced(cur, comp)) for comp in cur.components()
         )
         assert terminal_forms == comp_forms
 
@@ -529,11 +536,27 @@ class TestMultiplicityFast:
         json.dumps(payload)  # serializable
 
     def test_traces_are_pinned(self):
-        # each trace rebuilds, byte for byte, the canonical-form trace
-        # pinned before traces recorded deletions
+        # each trace rebuilds the trace pinned while its strings were
+        # canonical forms: the same rules, offsets and total, and graphs
+        # isomorphic to the pinned ones
         for name, g6, expected in TRACES:
             trace = multiplicity_fast(parse_graph6(g6))[1]
-            assert json.dumps(with_forms(trace), sort_keys=True) == expected, name
+            got, want = with_forms(trace), json.loads(expected)
+            assert got["input_g6"] == want["input_g6"], name
+            assert got["total"] == want["total"], name
+            assert len(got["steps"]) == len(want["steps"]), name
+            for step, mine, pinned in zip(trace.steps, got["steps"], want["steps"]):
+                assert (mine["rule"], mine["offset"]) == (
+                    pinned["rule"], pinned["offset"]), name
+                before, after = (parse_graph6(pinned[k])
+                                 for k in ("before_g6", "after_g6"))
+                assert iso(parse_graph6(mine["before_g6"]), before), name
+                assert iso(parse_graph6(mine["after_g6"]), after), name
+                # a rewrite names what it deleted, a terminal rule its
+                # whole component
+                named = (before.n - after.n if step.rule in (
+                    "PendantCluster", "DeletePendantP3") else before.n)
+                assert len(step.vertices) == named, name
             assert trace_faults(trace.to_json()) == [], name
 
     def test_determinism(self):
@@ -592,8 +615,8 @@ def reference_trace(g: Graph) -> dict:
                 break
             rule = "DeletePendantP3"
             nxt, offset = cur.delete_vertices(path.vertices)[0], 0
-        steps.append({"rule": rule, "before_g6": canonical_form(cur),
-                      "after_g6": canonical_form(nxt), "offset": offset})
+        steps.append({"rule": rule, "before_g6": to_graph6(cur),
+                      "after_g6": to_graph6(nxt), "offset": offset})
         total += offset
         cur = nxt
     for comp in cur.components():
@@ -606,7 +629,7 @@ def reference_trace(g: Graph) -> dict:
             rule = "CycleClosedForm"
         else:
             rule = "ExactRankFallback"
-        form = canonical_form(sub)
+        form = to_graph6(sub)
         steps.append({"rule": rule, "before_g6": form, "after_g6": form,
                       "offset": m1(sub)})
         total += m1(sub)

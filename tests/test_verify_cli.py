@@ -7,14 +7,16 @@ import random
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import lap1.canon as canon
 import lap1.cli as cli
 import lap1.graph6 as graph6
 import lap1.linalg as linalg
 import lap1.verify as verify
-from lap1.canon import canonical_form
+from lap1.enumeration import random_connected_graph
 from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
 from lap1.graphs import (
     Graph,
@@ -442,10 +444,36 @@ class TestCli:
         assert cli.main(["reduce", "--g6", to_graph6(g), "--to", "final"]) == 0
         out = json.loads(capsys.readouterr().out)
         steps = out["trace"]["steps"]
-        chain = [canonical_form(g)] + [s["after_g6"] for s in steps]
+        chain = [to_graph6(g)] + [s["after_g6"] for s in steps]
         assert len(steps) == 3
         assert [s["before_g6"] for s in steps] == chain[:-1]
-        assert chain[-1] == canonical_form(parse_graph6(out["graph6"]))
+        assert chain[-1] == out["graph6"]
+
+    @pytest.mark.parametrize("to", ["reduced", "final"])
+    def test_reduce_labels_nothing(self, to, capsys, monkeypatch):
+        # K4 with two pendants on one vertex, and a dense random graph
+        # with two pendants added: cores with more edges than vertices
+        def forbidden(*args):
+            raise AssertionError("reduce labelled a graph")
+
+        monkeypatch.setattr(canon, "_component_order", forbidden)
+        g = random_connected_graph(60, Fraction(1, 5), 1)
+        g = Graph(62, [*g.edges, (0, 60), (0, 61)])
+        for g6 in ("E~a?", to_graph6(g)):
+            assert cli.main(["reduce", "--g6", g6, "--to", to]) == 0
+            out = json.loads(capsys.readouterr().out)
+            steps = out["trace"]["steps"]
+            assert steps and out["input_g6"] == g6
+            # each step's graph is the one the step before it produced,
+            # written in its own labels
+            chain = [g6] + [s["after_g6"] for s in steps]
+            assert [s["before_g6"] for s in steps] == chain[:-1]
+            assert chain[-1] == out["graph6"]
+            for s in steps:
+                if s["rule"] == "ReductionOperation":
+                    pendant, neighbour = s["vertices"]
+                    before = parse_graph6(s["before_g6"])
+                    assert list(before.neighbors(pendant)) == [neighbour]
 
     def test_enumerate_counts(self, capsys):
         assert cli.main(["enumerate", "--class", "tree", "--n", "7"]) == 0
@@ -563,8 +591,14 @@ class TestCli:
             raise ValueError("internal defect")
 
         monkeypatch.setattr(cli, "multiplicity_fast", broken)
-        with pytest.raises(ValueError, match="internal defect"):
-            cli.main(["mult", "--g6", "Bw"])
+        monkeypatch.setattr(cli, "final_reduction_graph", broken)
+        for argv in (["mult", "--g6", "Bw"],
+                     ["reduce", "--g6", "Bw", "--to", "final"]):
+            assert cli.main(argv) == cli.EXIT_INTERNAL == 4, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "Traceback" in captured.err, argv
+            assert "internal defect" in captured.err, argv
 
     def test_extremal_reports_the_verified_k(self, capsys, monkeypatch):
         def no_second_check(g):
