@@ -6,7 +6,7 @@ Everything is exact: arbitrary-precision integer linear algebra, complete
 canonical forms, isomorph-free enumeration.  No floating point.
 """
 
-from .canon import canonical_form, canonical_labeling
+from .canon import canonical_form
 from .enumeration import (
     filter_class,
     free_trees,

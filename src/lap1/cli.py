@@ -231,8 +231,13 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n is not None and args.max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
+    for flag, value, least in (
+        ("--max-n", args.max_n, 1),
+        ("--jobs", args.jobs, 1),
+        ("--random-graphs", args.random_graphs, 0),
+    ):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     for suite in SUITES if args.suite == "all" else (args.suite,):
         _check_cap(suite_max_n(suite, args.max_n))
     reports = run_suite(

@@ -1,11 +1,14 @@
 """Isomorph-free generation of trees and unicyclic graphs, the members of
 the bounds' class among them, and seeded random connected graphs.
 
-Both families grow by a leaf.  Every tree of order n >= 2 has a leaf, and
-so does every unicyclic graph other than the cycle C_n; deleting that
-leaf leaves a member of order n - 1.  So level n is every member of level
-n - 1 with a leaf added at each vertex, plus C_n for unicyclic graphs,
-keeping one graph per canonical form.
+Each graph is built once, from the least word of AHU codes that `canon`
+reads off it, so nothing is labelled, kept in a set or thrown away.  A
+memoised table holds the rooted codes of each order, a root over every
+ascending multiset of smaller codes.  A free tree is rooted at its centre
+(Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986): one code
+whose two tallest branches tie in height, or two codes of equal height
+joined at their roots.  A unicyclic graph is a cycle of three or more
+codes that is its own least rotation over both directions.
 
 The class of Theorems 1.2 and 1.3 is `graphs.in_class_G`; `filter_class`
 keeps the members of a stream that a predicate accepts, and the class
@@ -17,37 +20,65 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_form
-from .graph6 import parse_graph6
-from .graphs import Graph, cycle_graph, in_class_G
+from .canon import Code, build, join, least_word
+from .graph6 import parse_graph6, to_graph6
+from .graphs import Graph, in_class_G
 
 MAX_TREE_N = 16
 MAX_UNICYCLIC_N = 14
 
 
-def _grow_by_a_leaf(
-    seeds: Iterable[Graph], parents: Iterable[str]
-) -> tuple[str, ...]:
-    """Sorted canonical forms of the seeds and of every parent with one
-    leaf added at one of its vertices."""
-    seen = {canonical_form(g) for g in seeds}
-    for g6 in parents:
-        parent = parse_graph6(g6)
-        n = parent.n
-        for v in range(n):
-            child = Graph._unchecked(n + 1, parent.edges | {(v, n)})
-            seen.add(canonical_form(child))
-    return tuple(sorted(seen))
+@lru_cache(maxsize=None)
+def _rooted(k: int) -> tuple[tuple[Code, int], ...]:
+    """(code, height) of every rooted tree of order k: a root over each
+    multiset of smaller rooted trees of k - 1 vertices in all."""
+    return tuple(
+        (join(code for code, _ in forest),
+         max((h + 1 for _, h in forest), default=0))
+        for forest in _forests(k - 1, k - 1)
+    )
+
+
+def _forests(total: int, most: int) -> Iterator[tuple[tuple[Code, int], ...]]:
+    """Every multiset of rooted trees of `total` vertices in all, none of
+    order above `most`, once each: its trees of the largest order, then
+    the rest."""
+    if total == 0:
+        yield ()
+    for k in range(min(most, total), 0, -1):
+        for count in range(1, total // k + 1):
+            for rest in _forests(total - count * k, k - 1):
+                for top in combinations_with_replacement(_rooted(k), count):
+                    yield top + rest
+
+
+def _tree_words(n: int) -> Iterator[tuple[Code, ...]]:
+    """The least word of every free tree of order n, once each.
+
+    A unicentral tree is its centre's code, whose two tallest branches tie
+    in height.  A bicentral tree is two codes of equal height, joined at
+    their roots.  A centre has two or more children, and for n > 2 each
+    bicentral half has order 2 or more, so no code above order n - 2 is
+    needed."""
+    for forest in _forests(n - 1, n - 2):
+        heights = sorted((h for _, h in forest), reverse=True)
+        # the two tallest tie, or there is no branch at all (n = 1)
+        if heights[:1] == heights[1:2]:
+            yield (join(code for code, _ in forest),)
+    for k in range(1 if n == 2 else 2, n // 2 + 1):
+        for i, (a, ha) in enumerate(_rooted(k)):
+            for b, hb in _rooted(n - k)[i if 2 * k == n else 0:]:
+                if ha == hb:
+                    yield (a, b) if a <= b else (b, a)
 
 
 @lru_cache(maxsize=None)
 def _tree_level(n: int) -> tuple[str, ...]:
     """Canonical graph6 strings of all free trees of order n, sorted."""
-    if n == 1:
-        return (canonical_form(Graph(1)),)
-    return _grow_by_a_leaf((), _tree_level(n - 1))
+    return tuple(sorted(to_graph6(build(word)) for word in _tree_words(n)))
 
 
 def free_trees(n: int) -> Iterator[Graph]:
@@ -59,12 +90,33 @@ def free_trees(n: int) -> Iterator[Graph]:
         yield parse_graph6(g6)
 
 
+def _sequences(total: int, least: Code, most: int) -> Iterator[tuple[Code, ...]]:
+    """Every sequence of codes, none below `least` and none of order above
+    `most`, whose orders sum to total."""
+    if total == 0:
+        yield ()
+    for k in range(1, min(most, total) + 1):
+        for code, _ in _rooted(k):
+            if code >= least:
+                for rest in _sequences(total - k, least, most):
+                    yield (code,) + rest
+
+
 @lru_cache(maxsize=None)
 def _unicyclic_level(n: int) -> tuple[str, ...]:
     """Canonical graph6 strings of all connected unicyclic graphs of
-    order n, sorted."""
-    parents = _unicyclic_level(n - 1) if n > 3 else ()
-    return _grow_by_a_leaf((cycle_graph(n),), parents)
+    order n, sorted: every word of three or more codes that begins with
+    its least code and is its own least word.  The codes after the first
+    are two or more, so none has order above n - k - 1."""
+    words = (
+        (first, *rest)
+        for k in range(1, n - 1)
+        for first, _ in _rooted(k)
+        for rest in _sequences(n - k, first, n - k - 1)
+    )
+    return tuple(sorted(
+        to_graph6(build(word)) for word in words if word == least_word(word)
+    ))
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:

@@ -6,6 +6,9 @@ oracles.py before being frozen here):
 * A000055: free trees by vertex count
 * A001429: connected unicyclic graphs by vertex count
 
+TREE_LEVEL_SHA256 and UNICYCLIC_LEVEL_SHA256 pin every enumeration level
+byte for byte, so that a new generator cannot change a single string.
+
 CANONICAL_FORMS pins `canonical_form` output byte for byte, so that a
 faster labeller cannot change a single enumeration string.
 GENERAL_GRAPHS are graphs with a component of more edges than vertices,
@@ -46,6 +49,46 @@ UNICYCLIC_COUNTS = {
     12: 5026,
     13: 13999,
     14: 39260,
+}
+
+
+# SHA-256 of "\n".join(level) for every enumeration level up to the
+# caps: the sorted canonical graph6 strings of the free trees of order n
+# and of the connected unicyclic graphs of order n, pinned byte for byte
+# as the enumeration that grew each level by a leaf and kept one graph per
+# canonical form produced them.
+TREE_LEVEL_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "e52e1ceda3c73b493c102c8085db4343bae2f6f9fec59b841578b1c89bb0b206",
+    4: "56bfd21a38ed87f91a72a6f2d7f7545990ee4d239554a6eb3c809a9a9697fe9b",
+    5: "990923276c96ff8a47a57116c0a287489756b4adbd8872c60189a2d5bcea10cd",
+    6: "bd506629a7c8fad96049a4c8eb229b819c05e0dd0f1572a4ccc44e61e24b08cc",
+    7: "bb5f7e5139a19b47de2adbab6805bfa8fd8e8a8b45e7657e8dcdcc7594820c81",
+    8: "69a5e111829f8fad6caec037baf8b5e958ef422a7fc991ccce815dbc51e0c7c6",
+    9: "424a5db8416fa2a5c3d0cf42bd2bf4a313cff087fdc9fdf9634a613fe62349fd",
+    10: "696e1d24f3bb34018e86355bf330261e960e1f3753be680415bf820656a986d5",
+    11: "f4220bd6cdb02e548bf7727281f720da1dd6cc7bec0ab48f73c8664928557baf",
+    12: "48fe4b993a4849f06346d6030b83f6a2462432a0bdbc446558f2bdeb8d491953",
+    13: "978b7a39d0e9157cbcd0ac8a5d8e2c1f9aed95f890f4b2e6258d12bbf551c662",
+    14: "535c3073fd86a92a5b5d5244fb762a2933d0b530cdbe6f89a66f07238097d2bc",
+    15: "784ca6be8790e626508486e39f8e09ef1a07efd3c4f002d1741c35920a372793",
+    16: "4e9520c0a88124c249746a5d2fa4d09500b8a3270a9659649279806cd11ad2b5",
+}
+
+UNICYCLIC_LEVEL_SHA256 = {
+    3: "4a469b3ce3caaad469f8c97e9176aacbe84216672889aa70c62b37f62e7aa427",
+    4: "00ddba398dda351604d9d0660f46784fa65a64250f292afe7a3f33d06ed752dc",
+    5: "edb49821a6efb65d612261f045cb8694fb54aa9d8a0f2ec46fe9c854f7b537c0",
+    6: "308dc0dd82e4450e039cbc4fe1acf01863453dbec7ec657cc4deab7728a5bbbf",
+    7: "117757bf340963d3c88265510e8daae76aa02ec4f3e22805ac97ebb69e84deff",
+    8: "a314a6a83527053ee4d2f9cc06482941f00a94ba1ed570ba1e08bf229021acc9",
+    9: "cf0df9f024222b5376c8d40de39f4b8184e17d6dec778608b9fe870bbc1df01c",
+    10: "c5b5de3d116296c1599331dbe8fb4f79e9681aed7699feb9dba8ac826d76a49f",
+    11: "fefa8a2958e83ac4b9d9a5ba2546c2f9d57841b337212c3cecf11f7397ad0096",
+    12: "07093dd05d62115a4d2c6d7549bfd81b057fafbc8f006f823d3f1ec33610dc52",
+    13: "97d8fc549de9121a739a4065abc4c60a78cd87f6b32cb09ab99e2e9fd53d051b",
+    14: "e86198ec5bda49c398a7223ad63d9b9556bcb7c2f6ab48202273aa4979c86470",
 }
 
 

@@ -12,7 +12,8 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
-from lap1.canon import canonical_form, canonical_labeling
+from lap1 import enumeration
+from lap1.canon import canonical_form
 from lap1.graph6 import parse_graph6
 from lap1.graphs import (
     Graph,
@@ -121,10 +122,7 @@ def test_agrees_with_networkx_isomorphism():
 
 
 def canonical_graph(g: Graph) -> Graph:
-    pos = [0] * g.n
-    for new, old in enumerate(canonical_labeling(g)):
-        pos[old] = new
-    return g.relabel(pos)
+    return parse_graph6(canonical_form(g))
 
 
 def test_canonical_graph_is_isomorphic_relabel():
@@ -155,11 +153,20 @@ def test_components_with_more_edges_than_vertices_are_refused():
     assert k4_3k1.edge_count <= k4_3k1.n
     graphs = [(name, parse_graph6(g6)) for name, g6 in GENERAL_GRAPHS]
     for name, g in graphs + [("K4+3K1", k4_3k1)]:
-        for label in (canonical_form, canonical_labeling):
-            with pytest.raises(ValueError, match="more edges than vertices"):
-                label(g)
-            with pytest.raises(ValueError):
-                label(relabelled(g, random.Random(name)))
+        with pytest.raises(ValueError, match="more edges than vertices"):
+            canonical_form(g)
+        with pytest.raises(ValueError):
+            canonical_form(relabelled(g, random.Random(name)))
+
+
+def test_enumerated_graphs_are_their_own_forms():
+    # a level's strings are the graphs built from least words, so each
+    # is the form that canonical_form reads back
+    levels = [enumeration._tree_level(n) for n in range(1, 11)]
+    levels += [enumeration._unicyclic_level(n) for n in range(3, 10)]
+    for level in levels:
+        for g6 in level:
+            assert canonical_form(parse_graph6(g6)) == g6
 
 
 SYMMETRIC = [

@@ -3,14 +3,18 @@ structural cross-checks against networkx, class filters, random graphs."""
 
 from __future__ import annotations
 
+import hashlib
 import types
 
 import networkx as nx
 import pytest
 
 import lap1.cli as cli
+from lap1 import canon, enumeration
 from lap1.canon import canonical_form
 from lap1.enumeration import (
+    MAX_TREE_N,
+    MAX_UNICYCLIC_N,
     filter_class,
     free_trees,
     random_connected_graph,
@@ -21,7 +25,12 @@ from lap1.enumeration import (
 from lap1.graph6 import parse_graph6
 from lap1.graphs import Graph, in_class_G
 from families import is_unicyclic
-from fixtures import FREE_TREE_COUNTS, UNICYCLIC_COUNTS
+from fixtures import (
+    FREE_TREE_COUNTS,
+    TREE_LEVEL_SHA256,
+    UNICYCLIC_COUNTS,
+    UNICYCLIC_LEVEL_SHA256,
+)
 from oracles import (
     ahu_code,
     count_free_trees,
@@ -40,6 +49,39 @@ def adjacency_lists(g: Graph) -> list[list[int]]:
 def cli_enumerate(capsys, cls: str, n: int, *flags: str) -> list[str]:
     assert cli.main(["enumerate", "--class", cls, "--n", str(n), *flags]) == 0
     return capsys.readouterr().out.split()
+
+
+def level_digest(level: tuple[str, ...]) -> str:
+    return hashlib.sha256("\n".join(level).encode()).hexdigest()
+
+
+class TestLevels:
+    def test_levels_are_pinned_and_counted(self):
+        # every level up to the caps, byte for byte, and its size against
+        # the Otter and dihedral counting formulas
+        for n in range(1, MAX_TREE_N + 1):
+            level = enumeration._tree_level(n)
+            assert level_digest(level) == TREE_LEVEL_SHA256[n], n
+            assert len(level) == count_free_trees(n), n
+        for n in range(3, MAX_UNICYCLIC_N + 1):
+            level = enumeration._unicyclic_level(n)
+            assert level_digest(level) == UNICYCLIC_LEVEL_SHA256[n], n
+            assert len(level) == count_unicyclic(n), n
+
+    def test_enumeration_labels_nothing(self, monkeypatch):
+        # each graph is built from the word it was generated as, so no
+        # word is ever read off a graph
+        def forbidden(*args):
+            raise AssertionError("enumeration labelled a graph")
+
+        monkeypatch.setattr(canon, "_read_word", forbidden)
+        for cached in (enumeration._rooted, enumeration._tree_level,
+                       enumeration._unicyclic_level):
+            cached.cache_clear()
+        for n in range(1, MAX_TREE_N + 1):
+            assert sum(1 for _ in free_trees(n)) == count_free_trees(n), n
+        for n in range(3, MAX_UNICYCLIC_N + 1):
+            assert sum(1 for _ in unicyclic_graphs(n)) == count_unicyclic(n), n
 
 
 class TestTreeEnumeration:

@@ -436,7 +436,7 @@ class TestMultiplicityFast:
         g = spider([3, 3, 2, 1, 1])
         m, trace = multiplicity_fast(g)
         for module, name in ((reduction, "to_graph6"),
-                             (canon, "_component_order"),
+                             (canon, "_read_word"),
                              (graph6, "encode_graph6"), (graph6, "to_graph6")):
             monkeypatch.setattr(module, name, forbidden)
         payload = trace.to_json()

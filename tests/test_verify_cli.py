@@ -456,7 +456,7 @@ class TestCli:
         def forbidden(*args):
             raise AssertionError("reduce labelled a graph")
 
-        monkeypatch.setattr(canon, "_component_order", forbidden)
+        monkeypatch.setattr(canon, "_read_word", forbidden)
         g = random_connected_graph(60, Fraction(1, 5), 1)
         g = Graph(62, [*g.edges, (0, 60), (0, 61)])
         for g6 in ("E~a?", to_graph6(g)):
@@ -585,6 +585,17 @@ class TestCli:
         ):
             assert cli.main(argv) == 2, argv
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--random-graphs", "-5"), ("--jobs", "0"), ("--jobs", "-3")])
+    def test_verify_counts_below_their_least_are_usage_errors(
+        self, capsys, flag, value
+    ):
+        argv = ["verify", "all", "--max-n", "6", flag, value]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be at least" in captured.err
 
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         def broken(g):
