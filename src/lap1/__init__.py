@@ -8,7 +8,6 @@ canonical forms, isomorph-free enumeration.  No floating point.
 
 from .canon import canonical_form
 from .enumeration import (
-    filter_class,
     free_trees,
     random_connected_graph,
     trees_in_class_T,

@@ -18,13 +18,7 @@ import traceback
 from collections.abc import Callable
 from pathlib import Path
 
-from .enumeration import (
-    MAX_TREE_N,
-    MAX_UNICYCLIC_N,
-    filter_class,
-    free_trees,
-    unicyclic_graphs,
-)
+from .enumeration import free_trees, unicyclic_graphs
 from .extremal import ExtremalSpec, extremal_tree, extremal_unicyclic
 from .graph6 import (
     MAX_N as GRAPH6_MAX_N,
@@ -204,18 +198,18 @@ def _parse_filters(raw: str | None) -> Callable[[Graph], bool]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """Prints the canonical graph6 of each graph kept, sorted."""
     _check_cap(args.n)
-    if args.cls == "tree":
-        lo, hi, generate = 1, MAX_TREE_N, free_trees
-    else:
-        lo, hi, generate = 3, MAX_UNICYCLIC_N, unicyclic_graphs
-    if not lo <= args.n <= hi:
-        raise UsageError(f"{args.cls} enumeration supports {lo} <= n <= {hi}")
-    count = 0
-    for g in filter_class(generate(args.n), _parse_filters(args.filter)):
-        print(to_graph6(g))
-        count += 1
-    print(f"{count} graphs", file=sys.stderr)
+    generate = free_trees if args.cls == "tree" else unicyclic_graphs
+    try:
+        graphs = generate(args.n)  # checks n; the graphs come as iterated
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    keep = _parse_filters(args.filter)
+    lines = sorted(to_graph6(g) for g in graphs if keep(g))
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} graphs", file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,9 +10,10 @@ whose two tallest branches tie in height, or two codes of equal height
 joined at their roots.  A unicyclic graph is a cycle of three or more
 codes that is its own least rotation over both directions.
 
-The class of Theorems 1.2 and 1.3 is `graphs.in_class_G`; `filter_class`
-keeps the members of a stream that a predicate accepts, and the class
-lists are the two families filtered by `in_class_G`.
+`free_trees` and `unicyclic_graphs` check the order, then stream the
+graph of each least word in generation order, the same on every run.
+The class of Theorems 1.2 and 1.3 is `graphs.in_class_G`, and the class
+lists are the two families filtered by it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .canon import Code, build, join, least_word
-from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, in_class_G
 
 MAX_TREE_N = 16
@@ -75,19 +75,12 @@ def _tree_words(n: int) -> Iterator[tuple[Code, ...]]:
                     yield (a, b) if a <= b else (b, a)
 
 
-@lru_cache(maxsize=None)
-def _tree_level(n: int) -> tuple[str, ...]:
-    """Canonical graph6 strings of all free trees of order n, sorted."""
-    return tuple(sorted(to_graph6(build(word)) for word in _tree_words(n)))
-
-
 def free_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees on n vertices,
-    in canonical-string order."""
+    each the canonical graph of its least word, in generation order."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {MAX_TREE_N}")
-    for g6 in _tree_level(n):
-        yield parse_graph6(g6)
+    return (build(word) for word in _tree_words(n))
 
 
 def _sequences(total: int, least: Code, most: int) -> Iterator[tuple[Code, ...]]:
@@ -102,49 +95,38 @@ def _sequences(total: int, least: Code, most: int) -> Iterator[tuple[Code, ...]]
                     yield (code,) + rest
 
 
-@lru_cache(maxsize=None)
-def _unicyclic_level(n: int) -> tuple[str, ...]:
-    """Canonical graph6 strings of all connected unicyclic graphs of
-    order n, sorted: every word of three or more codes that begins with
-    its least code and is its own least word.  The codes after the first
-    are two or more, so none has order above n - k - 1."""
-    words = (
-        (first, *rest)
-        for k in range(1, n - 1)
-        for first, _ in _rooted(k)
-        for rest in _sequences(n - k, first, n - k - 1)
-    )
-    return tuple(sorted(
-        to_graph6(build(word)) for word in words if word == least_word(word)
-    ))
+def _unicyclic_words(n: int) -> Iterator[tuple[Code, ...]]:
+    """The least word of every connected unicyclic graph of order n, once
+    each: every word of three or more codes that begins with its least
+    code and is its own least word.  The codes after the first are two or
+    more, so none has order above n - k - 1."""
+    for k in range(1, n - 1):
+        for first, _ in _rooted(k):
+            for rest in _sequences(n - k, first, n - k - 1):
+                word = (first, *rest)
+                if word == least_word(word):
+                    yield word
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs with
-    exactly n edges on n vertices, in canonical-string order."""
+    exactly n edges on n vertices, each the canonical graph of its least
+    word, in generation order."""
     if not 3 <= n <= MAX_UNICYCLIC_N:
         raise ValueError(
             f"unicyclic enumeration supports 3 <= n <= {MAX_UNICYCLIC_N}"
         )
-    for g6 in _unicyclic_level(n):
-        yield parse_graph6(g6)
-
-
-def filter_class(
-    stream: Iterable[Graph], keep: Callable[[Graph], bool]
-) -> Iterator[Graph]:
-    """The graphs of the stream that keep accepts, order-stable."""
-    return (g for g in stream if keep(g))
+    return (build(word) for word in _unicyclic_words(n))
 
 
 def trees_in_class_T(n: int) -> list[Graph]:
     """The trees of order n in the class of Theorem 1.2 (`in_class_G`)."""
-    return list(filter_class(free_trees(n), in_class_G))
+    return list(filter(in_class_G, free_trees(n)))
 
 
 def unicyclic_in_class_G(n: int) -> list[Graph]:
     """The unicyclic graphs of order n in the class of Theorem 1.3."""
-    return list(filter_class(unicyclic_graphs(n), in_class_G))
+    return list(filter(in_class_G, unicyclic_graphs(n)))
 
 
 def random_connected_graph(

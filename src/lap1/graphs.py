@@ -70,9 +70,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, u: int) -> int:
         return len((self._nbrs or self._adjacency())[u])
 

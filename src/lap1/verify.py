@@ -2,9 +2,10 @@
 reportable checks.
 
 A suite is one row of `_TABLE`: lowest order, default `max_n`, graph
-source, per-graph check and aggregate check.  One engine, `_run`, streams
-the source's `Graph`s into the check one at a time, hands every
-(graph6, n, m) triple to the aggregate check, and builds the report.  A
+source, per-graph check and aggregate check.  A source is just a stream
+of `Graph`s.  One engine, `_run`, feeds it into the check one at a time,
+hands every (graph6, n, m) triple to the aggregate check, and builds the
+report, whose n_range ends at the largest order checked.  A
 check encodes its graph to graph6 once, for the report, and never parses
 it back.  With jobs > 1 the engine lists the source's graphs and pickles
 them to worker processes (a pickled `Graph` is n and its edge set), so
@@ -47,7 +48,6 @@ from .extremal import extremal_tree_unverified, extremal_unicyclic_unverified
 from .graph6 import to_graph6
 from .graphs import (
     Graph,
-    PendantProfile,
     cycle_graph,
     double_star_like_tree,
     find_internal_paths,
@@ -177,18 +177,12 @@ def _map_graphs(fn, graphs: Iterable[Graph], jobs: int) -> Iterable:
 
 # -- graph sources ----------------------------------------------------------
 #
-# A source maps (max_n, seed, n_random) to the highest order it reaches,
-# which ends the report's n_range, and a stream of its graphs.  A source
-# whose top depends on what it draws gives None, and the report ends at
-# the largest order checked.
+# A source maps (max_n, seed, n_random) to a stream of its graphs.  The
+# enumerations stop at MAX_TREE_N and MAX_UNICYCLIC_N whatever max_n says.
 
-Source = tuple[int | None, Iterator[Graph]]
-
-
-def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Source:
-    top = min(max_n, MAX_TREE_N)
-    return top, chain(
-        (t for n in range(1, top + 1) for t in free_trees(n)),
+def _trees_and_unicyclic(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    return chain(
+        (t for n in range(1, min(max_n, MAX_TREE_N) + 1) for t in free_trees(n)),
         (g for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1)
          for g in unicyclic_graphs(n)),
     )
@@ -202,37 +196,34 @@ def _random_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
         yield random_connected_graph(n, prob, rng.randrange(2**32))
 
 
-def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Source:
-    """Random graphs may reach any order up to max_n."""
-    _, enumerated = _trees_and_unicyclic(max_n, seed, n_random)
-    return None, chain(enumerated, _random_graphs(max_n, seed, n_random))
+def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    return chain(_trees_and_unicyclic(max_n, seed, n_random),
+                 _random_graphs(max_n, seed, n_random))
 
 
-def _class_T(max_n: int, seed: int, n_random: int) -> Source:
-    top = min(max_n, MAX_TREE_N)
-    return top, (t for n in range(6, top + 1) for t in trees_in_class_T(n))
+def _class_T(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    return (t for n in range(6, min(max_n, MAX_TREE_N) + 1)
+            for t in trees_in_class_T(n))
 
 
-def _class_G(max_n: int, seed: int, n_random: int) -> Source:
-    top = min(max_n, MAX_UNICYCLIC_N)
-    return top, (g for n in range(3, top + 1) for g in unicyclic_in_class_G(n))
+def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
+    return (g for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1)
+            for g in unicyclic_in_class_G(n))
 
 
 # -- per-graph checks ------------------------------------------------------
 
-def _faria_eq2(g: Graph, g6: str, me: int, prof: PendantProfile) -> list[dict]:
+def _faria_eq2(g: Graph, g6: str, me: int, p_q: int) -> list[dict]:
     """Faria's bound m >= p - q and equation (2), m = p - q + m_N, with
     m_N the multiplicity of 1 as an eigenvalue of L_N, the principal
     submatrix of L on the vertices that are neither pendant nor
     quasi-pendant, as `internal_submatrix` builds it."""
     viol = []
-    if me < prof.p - prof.q:
-        viol.append(_violation(g6, f"m >= p-q = {prof.p - prof.q}", me, "faria"))
+    if me < p_q:
+        viol.append(_violation(g6, f"m >= p-q = {p_q}", me, "faria"))
     m_inner = eigen_multiplicity(internal_submatrix(g), 1)
-    if me != prof.p - prof.q + m_inner:
-        viol.append(
-            _violation(g6, f"p-q+m_N = {prof.p - prof.q + m_inner}", me, "eq2")
-        )
+    if me != p_q + m_inner:
+        viol.append(_violation(g6, f"p-q+m_N = {p_q + m_inner}", me, "eq2"))
     return viol
 
 
@@ -247,9 +238,10 @@ def _check_oracles(g: Graph) -> Checked:
 def _check_thm1(g: Graph) -> Checked:
     g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
-    viol += _faria_eq2(g, g6, me, pendant_profile(g))
-    gbar, offset = reduced_graph(g)
-    rhs = offset + multiplicity_one_by_peeling(gbar)
+    gbar, offset = reduced_graph(g)  # offset = p - q
+    viol += _faria_eq2(g, g6, me, offset)
+    # with no surplus pendant the reduced graph is G itself
+    rhs = offset + multiplicity_one_by_peeling(gbar) if offset else me
     if me != rhs:
         viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
     return g6, g.n, me, viol
@@ -259,7 +251,7 @@ def _check_lemmas(g: Graph) -> Checked:
     g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
     prof = pendant_profile(g)
-    viol += _faria_eq2(g, g6, me, prof)
+    viol += _faria_eq2(g, g6, me, prof.p - prof.q)
 
     for u, v in g.sorted_edges():
         md = multiplicity_one_by_peeling(g.remove_edge(u, v))
@@ -397,9 +389,9 @@ class Suite:
     name: str
     lo: int  # lowest order checked; n_range starts here
     max_n: int  # default highest order
-    graphs: Callable[[int, int, int], Source]  # (max_n, seed, n_random)
+    graphs: Callable[[int, int, int], Iterator[Graph]]  # (max_n, seed, n_random)
     check: Callable[[Graph], Checked]
-    # (results, the source's top order) -> (graphs checked beyond the
+    # (results, the largest order checked) -> (graphs checked beyond the
     # source's, violations)
     aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
     seeded: bool = False  # the source draws random graphs from the seed
@@ -431,14 +423,13 @@ def _run(
     suite: Suite, max_n: int | None, seed: int = 0, n_random: int = 0, jobs: int = 1
 ) -> VerificationReport:
     t0 = time.monotonic()
-    top, source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
+    source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
     results: Results = []
     violations = []
     for g6, n, m, viol in _map_graphs(suite.check, source, jobs):
         results.append((g6, n, m))
         violations += viol
-    if top is None:
-        top = max((n for _, n, _ in results), default=suite.lo)
+    top = max((n for _, n, _ in results), default=suite.lo)
     extra = 0
     if suite.aggregate is not None:
         extra, more = suite.aggregate(results, top)

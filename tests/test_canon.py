@@ -14,7 +14,7 @@ import pytest
 
 from lap1 import enumeration
 from lap1.canon import canonical_form
-from lap1.graph6 import parse_graph6
+from lap1.graph6 import parse_graph6, to_graph6
 from lap1.graphs import (
     Graph,
     complete_graph,
@@ -160,13 +160,12 @@ def test_components_with_more_edges_than_vertices_are_refused():
 
 
 def test_enumerated_graphs_are_their_own_forms():
-    # a level's strings are the graphs built from least words, so each
+    # the enumerations yield the graphs built from least words, so each
     # is the form that canonical_form reads back
-    levels = [enumeration._tree_level(n) for n in range(1, 11)]
-    levels += [enumeration._unicyclic_level(n) for n in range(3, 10)]
-    for level in levels:
-        for g6 in level:
-            assert canonical_form(parse_graph6(g6)) == g6
+    graphs = [t for n in range(1, 11) for t in enumeration.free_trees(n)]
+    graphs += [g for n in range(3, 10) for g in enumeration.unicyclic_graphs(n)]
+    for g in graphs:
+        assert to_graph6(g) == canonical_form(g)
 
 
 SYMMETRIC = [

@@ -4,7 +4,6 @@ structural cross-checks against networkx, class filters, random graphs."""
 from __future__ import annotations
 
 import hashlib
-import types
 
 import networkx as nx
 import pytest
@@ -15,14 +14,13 @@ from lap1.canon import canonical_form
 from lap1.enumeration import (
     MAX_TREE_N,
     MAX_UNICYCLIC_N,
-    filter_class,
     free_trees,
     random_connected_graph,
     trees_in_class_T,
     unicyclic_graphs,
     unicyclic_in_class_G,
 )
-from lap1.graph6 import parse_graph6
+from lap1.graph6 import parse_graph6, to_graph6
 from lap1.graphs import Graph, in_class_G
 from families import is_unicyclic
 from fixtures import (
@@ -51,8 +49,13 @@ def cli_enumerate(capsys, cls: str, n: int, *flags: str) -> list[str]:
     return capsys.readouterr().out.split()
 
 
-def level_digest(level: tuple[str, ...]) -> str:
-    return hashlib.sha256("\n".join(level).encode()).hexdigest()
+def level(graphs) -> list[str]:
+    """The graph6 strings of a stream, sorted."""
+    return sorted(to_graph6(g) for g in graphs)
+
+
+def level_digest(strings: list[str]) -> str:
+    return hashlib.sha256("\n".join(strings).encode()).hexdigest()
 
 
 class TestLevels:
@@ -60,13 +63,18 @@ class TestLevels:
         # every level up to the caps, byte for byte, and its size against
         # the Otter and dihedral counting formulas
         for n in range(1, MAX_TREE_N + 1):
-            level = enumeration._tree_level(n)
-            assert level_digest(level) == TREE_LEVEL_SHA256[n], n
-            assert len(level) == count_free_trees(n), n
+            strings = level(free_trees(n))
+            assert level_digest(strings) == TREE_LEVEL_SHA256[n], n
+            assert len(strings) == count_free_trees(n), n
         for n in range(3, MAX_UNICYCLIC_N + 1):
-            level = enumeration._unicyclic_level(n)
-            assert level_digest(level) == UNICYCLIC_LEVEL_SHA256[n], n
-            assert len(level) == count_unicyclic(n), n
+            strings = level(unicyclic_graphs(n))
+            assert level_digest(strings) == UNICYCLIC_LEVEL_SHA256[n], n
+            assert len(strings) == count_unicyclic(n), n
+
+    def test_every_pass_yields_the_same_sequence(self):
+        # the streams are built afresh on each call, in generation order
+        for family, n in [(free_trees, 12), (unicyclic_graphs, 10)]:
+            assert list(family(n)) == list(family(n)), family
 
     def test_enumeration_labels_nothing(self, monkeypatch):
         # each graph is built from the word it was generated as, so no
@@ -75,9 +83,7 @@ class TestLevels:
             raise AssertionError("enumeration labelled a graph")
 
         monkeypatch.setattr(canon, "_read_word", forbidden)
-        for cached in (enumeration._rooted, enumeration._tree_level,
-                       enumeration._unicyclic_level):
-            cached.cache_clear()
+        enumeration._rooted.cache_clear()
         for n in range(1, MAX_TREE_N + 1):
             assert sum(1 for _ in free_trees(n)) == count_free_trees(n), n
         for n in range(3, MAX_UNICYCLIC_N + 1):
@@ -104,10 +110,11 @@ class TestTreeEnumeration:
             assert len(set(forms)) == len(forms)
             assert all(t.is_tree() for t in free_trees(n))
 
-    def test_emitted_in_canonical_string_order(self):
-        for n in (6, 8):
-            forms = [canonical_form(t) for t in free_trees(n)]
-            assert forms == sorted(forms)
+    def test_emitted_in_canonical_string_order(self, capsys):
+        # the streams come in generation order; `lap1 enumerate` sorts
+        for cls, n in [("tree", 8), ("unicyclic", 7)]:
+            lines = cli_enumerate(capsys, cls, n)
+            assert lines == sorted(set(lines)), cls
 
     def test_structural_match_with_networkx(self):
         for n in range(2, 11):
@@ -224,12 +231,6 @@ class TestFilters:
             want = [s for s in everything
                     if keep(adjacency_lists(parse_graph6(s)))]
             assert cli_enumerate(capsys, cls, n, "--filter", spec) == want, spec
-
-    def test_filter_class_streams_what_keep_accepts(self):
-        graphs = [Graph(3, [(0, 1)]), Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])]
-        kept = filter_class(iter(graphs), lambda g: g.is_connected())
-        assert isinstance(kept, types.GeneratorType)
-        assert list(kept) == graphs[1:]
 
 
 class TestRandomGraphs:

@@ -102,9 +102,8 @@ class TestSuites:
         assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
 
     def test_checks_parse_no_graph6(self, monkeypatch):
-        # the checks take the source's Graphs: the only parses left are
-        # the enumeration's, one per graph it yields from its cached levels
-        verify_lemmas(max_n=8)  # fills the enumeration's level caches
+        # the enumerations yield the graphs they build and the checks take
+        # them as they come, so nothing is encoded only to be parsed back
         real = graph6.parse_graph6
         calls = []
 
@@ -117,8 +116,10 @@ class TestSuites:
                 monkeypatch.setattr(module, "parse_graph6", counted)
         r = verify_lemmas(max_n=8)
         assert r.passed
-        # 1+1+1+2+3+6+11+23 trees, 1+2+5+13+33+89 unicyclic
-        assert len(calls) == 48 + 143
+        # 1+1+1+2+3+6+11+23 trees, 1+2+5+13+33+89 unicyclic, then the
+        # aggregate's 20 star-like trees and 28 cycles
+        assert r.graphs_checked == 48 + 143 + 20 + 28
+        assert calls == []
 
     @pytest.mark.parametrize("max_n", [1, 5, 7])
     def test_run_suite_all(self, max_n):
@@ -584,7 +585,11 @@ class TestCli:
             ["verify", "thm1", "--max-n", "0"],
         ):
             assert cli.main(argv) == 2, argv
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # enumerate relays the enumeration's own range error
+        assert "error: tree enumeration supports 1 <= n <= 16\n" in captured.err
+        assert "error: unicyclic enumeration supports 3 <= n <= 14\n" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
         ("--random-graphs", "-5"), ("--jobs", "0"), ("--jobs", "-3")])
@@ -603,8 +608,11 @@ class TestCli:
 
         monkeypatch.setattr(cli, "multiplicity_fast", broken)
         monkeypatch.setattr(cli, "final_reduction_graph", broken)
+        # a stream that fails while it is read, after n was accepted
+        monkeypatch.setattr(cli, "free_trees", lambda n: map(broken, range(n)))
         for argv in (["mult", "--g6", "Bw"],
-                     ["reduce", "--g6", "Bw", "--to", "final"]):
+                     ["reduce", "--g6", "Bw", "--to", "final"],
+                     ["enumerate", "--class", "tree", "--n", "5"]):
             assert cli.main(argv) == cli.EXIT_INTERNAL == 4, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
