@@ -1,11 +1,11 @@
 """Exact integer linear algebra.
 
 Everything runs over arbitrary-precision integers: sparse fraction-free
-elimination for rank, the division-free Berkowitz recurrence for
-characteristic polynomials, eigenvalue multiplicities derived from either
-route, and leaf elimination on L - I for the reduction pipeline and the
-graphs `verify` derives, with each rational diagonal kept as a reduced
-pair of integers.  No floating point anywhere.
+elimination for rank and, apart from it, for characteristic polynomials,
+eigenvalue multiplicities derived from either route, and leaf elimination
+on L - I for the reduction pipeline and the graphs `verify` derives, with
+each rational diagonal kept as a reduced pair of integers.  No floating
+point anywhere.
 
 `rank` is the one rank engine.  It stores only nonzero entries, pivots
 for sparsity (Markowitz) and keeps every row primitive, so each stored
@@ -14,15 +14,21 @@ Hadamard bound as Bareiss's dense elimination; L - I of a tree, a sun or
 a sparse random graph has about 3n nonzeros, and the work follows the
 fill-in instead of n^3.
 
+`char_poly` is the one characteristic polynomial engine and shares no
+code with `rank`: det(XI - M) at one power of two X (Kronecker
+substitution) by Bareiss's elimination, which needs no pivot search on
+the diagonally dominant XI - M and defers each row's exact rescaling to
+its next read, with X over twice Schur's bound on the coefficients.
+
 There is one matrix type, `SparseIntMatrix`, whose row i is a dict
 {column: entry}.  `adjacency`, `laplacian` and `internal_submatrix` build
 A, L and L_N as such rows from the neighbour lists, and `rank`,
 `char_poly` and `eigen_multiplicity` take them; no n x n list is made.
 Each of the three multiplicity routes builds its own L - I: the exact
 route here from the neighbour lists, the peeling from the edge set, and
-`verify`'s Berkowitz route from the edge list, so that a defect in one
-builder cannot reach two routes.  The engines never change the rows
-they are given.
+`verify`'s characteristic polynomial route from the edge list, so that a
+defect in one builder cannot reach two routes.  The engines never change
+the rows they are given.
 """
 
 from __future__ import annotations
@@ -30,11 +36,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
-from operator import add, mul
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .graphs import Graph, pendant_profile
+from .graphs import Graph, PendantProfile, pendant_profile
 
 
 class SparseIntMatrix:
@@ -156,58 +161,64 @@ def rank(m: SparseIntMatrix) -> int:
 
 
 def char_poly(m: SparseIntMatrix) -> list[int]:
-    """Characteristic polynomial det(xI - M) by the division-free
-    Berkowitz recurrence (Berkowitz, "On computing the determinant in
-    small parallel time using a small number of processors", IPL 18,
-    1984).  Coefficients ascending: index i holds the coefficient of x^i;
-    the 0x0 matrix gives [1].
+    """Characteristic polynomial det(xI - M), coefficients ascending:
+    index i holds the coefficient of x^i; the 0x0 matrix gives [1].
 
-    The rows are only read, never changed.  Step k takes the polynomial
-    of the leading k x k block B to that of the leading (k+1) x (k+1)
-    block, by the Toeplitz column 1, -M[k][k],
-    -R C, -R B C, ..., -R B^(k-1) C, where R and C are row and column k
-    cut to the block.  Each product B w reads only the stored entries of
-    B's rows, so step k costs about k times the entries of B: O(n^2 m)
-    for m stored entries, against O(n^4) for a dense loop, plus O(n^3)
-    for the polynomial products.
+    One determinant at x = X = 2^B (Kronecker substitution: Kronecker,
+    J. reine angew. Math. 92, 1882), with r = ceil(sqrt(ceil(|M|_F^2 / n)))
+    and B = n bitlen(1 + r) + 1, read back as balanced base-X digits.
+    They are exact: Schur's inequality (Math. Ann. 66, 1909) gives
+    sum |lambda|^2 <= |M|_F^2 <= n r^2, so by Maclaurin's inequality
+    |c_i| <= C(n, i) r^(n-i), and sum |c_i| <= (1 + r)^n < X/2.
+
+    Bareiss's elimination (cited at `rank`) runs on the stored entries of
+    XI - M; the rows are only read.  A row of M has absolute sum at most
+    n r < X, so XI - M and its principal submatrices are strictly
+    diagonally dominant, and no principal minor is 0 (Levy-Desplanques):
+    each pivot is the diagonal entry of a shortest remaining row, and a
+    tree never fills in.  After pivots on P, with d_k = det (XI - M)[P, P],
+    a current row i holds det (XI - M)[P + i, P + j] in column j.  A row
+    missed by pivot column p only changes by d_k / d_(k-1), so it keeps
+    the stage s at which it was last current: next read with entry b in
+    column p, it becomes (d_k row - b prow) / d_s, and as the pivot row
+    prow d_(k-1) / d_s.  Each quotient is a minor, so each division is
+    exact.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    rows = m.data
-    # block_cols[i], block_vals[i]: the entries of row i inside the block
-    block_cols: list[list[int]] = []
-    block_vals: list[list[int]] = []
-    poly = [1]  # descending coefficients of det(xI - leading block)
-    for k, row in enumerate(rows):
-        corner = row.get(k, 0)
-        r_cols = [j for j in row if j < k]
-        r_vals = [row[j] for j in r_cols]
-        col = [rows[i].get(k, 0) for i in range(k)]
-        v = [1, -corner]
-        w = col
-        # once R or B^t C is zero every later entry is zero too
-        while r_cols and len(v) < k + 2 and any(w):
-            v.append(-sum(map(mul, r_vals, map(w.__getitem__, r_cols))))
-            if len(v) < k + 2:
-                w = [sum(map(mul, vals, map(w.__getitem__, cs)))
-                     for cs, vals in zip(block_cols, block_vals)]
-        # new = (lower-triangular Toeplitz matrix of v) times poly: the
-        # sum of v[d] * poly shifted down by d, cut to k + 2 coefficients
-        new = poly + [0]
-        for d in range(1, len(v)):
-            if v[d]:
-                new[d:] = map(add, new[d:], map(v[d].__mul__, poly[:k + 2 - d]))
-        poly = new
-        for i, x in enumerate(col):
-            if x:
-                block_cols[i].append(k)
-                block_vals[i].append(x)
-        if corner:
-            r_cols.append(k)
-            r_vals.append(corner)
-        block_cols.append(r_cols)
-        block_vals.append(r_vals)
-    return poly[::-1]
+    n = m.rows  # the 0x0 determinant is 1, read as [1]
+    mean = -(-sum(x * x for row in m.data for x in row.values()) // max(n, 1))
+    r = isqrt(mean - 1) + 1 if mean else 0
+    width = n * (1 + r).bit_length() + 1  # B
+    base = 1 << width  # X
+    rows = {}
+    for i, row in enumerate(m.data):
+        rows[i] = {j: -x for j, x in row.items() if x and j != i}
+        rows[i][i] = base - row.get(i, 0)
+    stage = [0] * n
+    pivots = [1]  # pivots[k] = d_k
+    while rows:
+        p = min(rows, key=lambda i: len(rows[i]))
+        prow, s = rows.pop(p), stage[p]
+        k = len(pivots)
+        if s != k - 1:
+            prow = {j: x * pivots[-1] // pivots[s] for j, x in prow.items()}
+        a = prow.pop(p)
+        pivots.append(a)
+        for i, row in rows.items():
+            b = row.get(p)
+            if b is None:
+                continue
+            row = {j: a * x for j, x in row.items() if j != p}
+            for j, y in prow.items():
+                row[j] = row.get(j, 0) - b * y
+            rows[i] = {j: x // pivots[stage[i]] for j, x in row.items() if x}
+            stage[i] = k
+    det, half, coeffs = pivots[-1], base >> 1, []
+    for _ in range(n):
+        coeffs.append((det + half) % base - half)
+        det = (det - coeffs[-1]) >> width
+    return coeffs + [det]
 
 
 def poly_root_multiplicity(coeffs: Sequence[int], lam: int | Fraction) -> int:
@@ -364,11 +375,13 @@ def multiplicity_one_by_peeling(g: Graph) -> int:
     return zeros + len(core) - rank(SparseIntMatrix(rows, len(core)))
 
 
-def internal_submatrix(g: Graph) -> SparseIntMatrix:
+def internal_submatrix(g: Graph,
+                       prof: PendantProfile | None = None) -> SparseIntMatrix:
     """L_N, the principal submatrix of L(g) on the vertices that are
     neither pendant nor quasi-pendant (possibly 0x0), renumbered in
-    increasing order."""
-    prof = pendant_profile(g)
+    increasing order; prof, when given, is g's pendant profile."""
+    if prof is None:
+        prof = pendant_profile(g)
     skip = set(prof.pendants).union(prof.quasi_pendants)
     index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in skip)}
     rows = []

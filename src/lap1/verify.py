@@ -12,7 +12,7 @@ them to worker processes (a pickled `Graph` is n and its edge set), so
 checks are module-level.
 
 Every per-graph check also cross-validates three multiplicity routes
-(exact rank, Berkowitz characteristic polynomial, reduction pipeline), so
+(exact rank, characteristic polynomial, reduction pipeline), so
 a defect in any one engine surfaces as a "cross-oracle" violation.  The
 three routes run once per checked graph, memoised so that suites sharing
 a graph share its answers.  Every other m_L(1) comes from leaf peeling,
@@ -213,15 +213,15 @@ def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
 
 # -- per-graph checks ------------------------------------------------------
 
-def _faria_eq2(g: Graph, g6: str, me: int, p_q: int) -> list[dict]:
+def _faria_eq2(g6: str, me: int, p_q: int, inner: SparseIntMatrix) -> list[dict]:
     """Faria's bound m >= p - q and equation (2), m = p - q + m_N, with
-    m_N the multiplicity of 1 as an eigenvalue of L_N, the principal
-    submatrix of L on the vertices that are neither pendant nor
+    m_N the multiplicity of 1 as an eigenvalue of L_N = inner, the
+    principal submatrix of L on the vertices that are neither pendant nor
     quasi-pendant, as `internal_submatrix` builds it."""
     viol = []
     if me < p_q:
         viol.append(_violation(g6, f"m >= p-q = {p_q}", me, "faria"))
-    m_inner = eigen_multiplicity(internal_submatrix(g), 1)
+    m_inner = eigen_multiplicity(inner, 1)
     if me != p_q + m_inner:
         viol.append(_violation(g6, f"p-q+m_N = {p_q + m_inner}", me, "eq2"))
     return viol
@@ -239,7 +239,7 @@ def _check_thm1(g: Graph) -> Checked:
     g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
     gbar, offset = reduced_graph(g)  # offset = p - q
-    viol += _faria_eq2(g, g6, me, offset)
+    viol += _faria_eq2(g6, me, offset, internal_submatrix(g))
     # with no surplus pendant the reduced graph is G itself
     rhs = offset + multiplicity_one_by_peeling(gbar) if offset else me
     if me != rhs:
@@ -251,7 +251,7 @@ def _check_lemmas(g: Graph) -> Checked:
     g6 = to_graph6(g)
     me, viol = _cross_oracle(g, g6)
     prof = pendant_profile(g)
-    viol += _faria_eq2(g, g6, me, prof.p - prof.q)
+    viol += _faria_eq2(g6, me, prof.p - prof.q, internal_submatrix(g, prof))
 
     for u, v in g.sorted_edges():
         md = multiplicity_one_by_peeling(g.remove_edge(u, v))

@@ -124,8 +124,9 @@ def test_criterion_6_cross_oracle_agreement(
     thm1_report, thm2_report, thm3_report, lemmas_report
 ):
     # every per-graph check in criteria 1-4 compares the rank route, the
-    # Berkowitz route, and the reduction pipeline; here we assert none of
-    # those comparisons fired, and spot-check the cycles of criterion 5
+    # characteristic polynomial route, and the reduction pipeline; here we
+    # assert none of those comparisons fired, and spot-check the cycles of
+    # criterion 5
     crossings = [
         v
         for r in (thm1_report, thm2_report, thm3_report, lemmas_report)

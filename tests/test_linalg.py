@@ -7,7 +7,7 @@ import ast
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import lap1.linalg as linalg
 from lap1.graphs import (
     Graph,
+    complete_graph,
     cycle_graph,
     disjoint_union,
     line_graph,
@@ -40,7 +41,14 @@ from lap1.linalg import (
 from lap1.enumeration import free_trees, unicyclic_graphs
 from lap1.reduction import edge_split, reduction_operation
 import oracles
-from families import caterpillar, circulant, sun
+from families import (
+    caterpillar,
+    circulant,
+    petersen,
+    prufer_tree,
+    relabelled,
+    sun,
+)
 from oracles import charpoly_by_interpolation, fraction_rank
 
 
@@ -269,6 +277,42 @@ class TestCharPoly:
         assert char_poly(m) == expected
         assert char_poly(every_zero) == expected
         assert list(m.data) == before
+
+    @given(st.integers(0, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_large_entries_against_interpolation_oracle(self, n, data):
+        # entries up to 10^6 make coefficients near the digit bound
+        # (1 + r)^n, and r I, whose coefficients reach it exactly, is
+        # drawn as often as a full matrix
+        entry = st.integers(-10**6, 10**6)
+        if data.draw(st.booleans()):
+            r = data.draw(entry)
+            rows = [[r if i == j else 0 for j in range(n)] for i in range(n)]
+        else:
+            rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        assert char_poly(sparse(rows, n)) == charpoly_by_interpolation(rows)
+
+    def test_complete_graph_closed_form(self):
+        # L(K_n) has the eigenvalue n with multiplicity n - 1, and 0
+        for n in range(1, 31):
+            closed = [0] + [comb(n - 1, i) * (-n) ** (n - 1 - i)
+                            for i in range(n)]
+            assert char_poly(laplacian(complete_graph(n))) == closed
+
+    def test_pivot_order_does_not_change_coefficients(self):
+        # regular graphs tie every row in length, and trees tie their leaves
+        rng = random.Random(61)
+        graphs = [cycle_graph(12), complete_graph(7), petersen(),
+                  circulant(15, 4), sun(4), star_graph(9), caterpillar(3)]
+        graphs += [prufer_tree(n, rng) for n in (5, 17, 33)]
+        graphs.append(disjoint_union(cycle_graph(5), path_graph(4)))
+        for g in graphs:
+            coeffs = char_poly(laplacian(g))
+            if g.n <= 12:
+                assert coeffs == charpoly_by_interpolation(
+                    oracles.laplacian_matrix(g.n, g.edges))
+            for _ in range(3):
+                assert char_poly(laplacian(relabelled(g, rng))) == coeffs
 
     def test_root_multiplicity(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2

@@ -237,8 +237,9 @@ class TestSuites:
             g6 for g6, more in seen if more)
 
     def test_mutation_in_rank_is_caught(self, monkeypatch):
-        # an off-by-one rank breaks the rank route but not the Berkowitz
-        # route, so the cross-oracle comparison must light up
+        # an off-by-one rank breaks the rank route but not the
+        # characteristic polynomial route, so the cross-oracle comparison
+        # must light up
         real_rank = linalg.rank
         clear_caches()
         monkeypatch.setattr(linalg, "rank", lambda m: real_rank(m) + 1)
@@ -250,9 +251,10 @@ class TestSuites:
             monkeypatch.undo()
             clear_caches()
 
-    def test_mutation_in_berkowitz_is_caught(self, monkeypatch):
-        # a factor of x too many makes the Berkowitz route count one zero
-        # coefficient too many on every graph, and nothing else reads it
+    def test_mutation_in_char_poly_is_caught(self, monkeypatch):
+        # a factor of x too many makes the characteristic polynomial route
+        # count one zero coefficient too many on every graph, and nothing
+        # else reads it
         real_char_poly = verify.char_poly
         clear_caches()
         monkeypatch.setattr(verify, "char_poly", lambda m: [0] + real_char_poly(m))
@@ -285,7 +287,7 @@ class TestSuites:
         assert any(v["rule"] == "cross-oracle" for v in r.violations)
 
 
-class TestBerkowitzRoute:
+class TestCharPolyRoute:
     def test_nullity_of_relabelled_shifted_laplacians(self):
         rng = random.Random(53)
         graphs = [sun(k) for k in (1, 4, 10)]
@@ -313,6 +315,30 @@ class TestBerkowitzRoute:
         m = verify._m1_charpoly(g)
         assert time.perf_counter() - t0 < 5.0
         assert m == laplacian_multiplicity_one(g)
+
+    def test_independent_of_the_rank_engine(self, monkeypatch):
+        # a defect in `rank` must not reach this route of the cross-oracle
+        def broken(m):
+            raise AssertionError("char_poly route called rank")
+
+        rng = random.Random(67)
+        graphs = [sun(3), star_graph(5), path_graph(7), Graph(4, [(0, 1)])]
+        graphs += [random_connected_graph(9, Fraction(1, 2), rng.randrange(2**32))
+                   for _ in range(5)]
+        clear_caches()
+        monkeypatch.setattr(linalg, "rank", broken)
+        try:
+            for g in graphs:
+                rows = oracles.laplacian_matrix(g.n, g.edges)
+                assert linalg.char_poly(linalg.laplacian(g)) == (
+                    oracles.charpoly_by_interpolation(rows))
+                for i in range(g.n):
+                    rows[i][i] -= 1
+                assert verify._m1_charpoly(g) == (
+                    g.n - oracles.fraction_rank(rows))
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
 
 class TestCli:
