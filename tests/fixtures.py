@@ -9,6 +9,10 @@ oracles.py before being frozen here):
 TREE_LEVEL_SHA256 and UNICYCLIC_LEVEL_SHA256 pin every enumeration level
 byte for byte, so that a new generator cannot change a single string.
 
+CLASS_TREE_COUNTS and CLASS_UNICYCLIC_COUNTS pin the size of the class of
+Theorems 1.2 and 1.3 at every order up to the caps, as the filter over
+each family counted it.
+
 CANONICAL_FORMS pins `canonical_form` output byte for byte, so that a
 faster labeller cannot change a single enumeration string.
 GENERAL_GRAPHS are graphs with a component of more edges than vertices,
@@ -49,6 +53,18 @@ UNICYCLIC_COUNTS = {
     12: 5026,
     13: 13999,
     14: 39260,
+}
+
+# Reduced graphs without pendant P_3, by order: trees, then connected
+# unicyclic graphs.  P_4 and P_5 make 4 and 5 empty for trees.
+CLASS_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 0, 4: 0, 5: 0, 6: 1, 7: 1, 8: 2, 9: 3, 10: 6, 11: 10,
+    12: 20, 13: 37, 14: 75, 15: 146, 16: 302,
+}
+
+CLASS_UNICYCLIC_COUNTS = {
+    3: 1, 4: 2, 5: 4, 6: 8, 7: 14, 8: 29, 9: 58, 10: 124, 11: 263,
+    12: 583, 13: 1279, 14: 2869,
 }
 
 

@@ -24,6 +24,8 @@ from lap1.graph6 import parse_graph6, to_graph6
 from lap1.graphs import Graph, in_class_G
 from families import is_unicyclic
 from fixtures import (
+    CLASS_TREE_COUNTS,
+    CLASS_UNICYCLIC_COUNTS,
     FREE_TREE_COUNTS,
     TREE_LEVEL_SHA256,
     UNICYCLIC_COUNTS,
@@ -61,15 +63,27 @@ def level_digest(strings: list[str]) -> str:
 class TestLevels:
     def test_levels_are_pinned_and_counted(self):
         # every level up to the caps, byte for byte, and its size against
-        # the Otter and dihedral counting formulas
-        for n in range(1, MAX_TREE_N + 1):
-            strings = level(free_trees(n))
-            assert level_digest(strings) == TREE_LEVEL_SHA256[n], n
-            assert len(strings) == count_free_trees(n), n
-        for n in range(3, MAX_UNICYCLIC_N + 1):
-            strings = level(unicyclic_graphs(n))
-            assert level_digest(strings) == UNICYCLIC_LEVEL_SHA256[n], n
-            assert len(strings) == count_unicyclic(n), n
+        # the Otter and dihedral counting formulas; the class list is the
+        # level's members by the oracle, in generation order, and its size
+        # is pinned
+        for family, orders, count, digests, members, sizes in [
+            (free_trees, range(1, MAX_TREE_N + 1), count_free_trees,
+             TREE_LEVEL_SHA256, trees_in_class_T, CLASS_TREE_COUNTS),
+            (unicyclic_graphs, range(3, MAX_UNICYCLIC_N + 1), count_unicyclic,
+             UNICYCLIC_LEVEL_SHA256, unicyclic_in_class_G,
+             CLASS_UNICYCLIC_COUNTS),
+        ]:
+            for n in orders:
+                strings, want = [], []
+                for g in family(n):
+                    strings.append(to_graph6(g))
+                    if in_bound_class(adjacency_lists(g)):
+                        want.append(g)
+                strings.sort()
+                assert level_digest(strings) == digests[n], (family, n)
+                assert len(strings) == count(n), (family, n)
+                assert members(n) == want, (family, n)
+                assert len(want) == sizes[n], (family, n)
 
     def test_every_pass_yields_the_same_sequence(self):
         # the streams are built afresh on each call, in generation order
@@ -84,10 +98,29 @@ class TestLevels:
 
         monkeypatch.setattr(canon, "_read_word", forbidden)
         enumeration._rooted.cache_clear()
+        enumeration._hanging.cache_clear()
         for n in range(1, MAX_TREE_N + 1):
             assert sum(1 for _ in free_trees(n)) == count_free_trees(n), n
+            assert len(trees_in_class_T(n)) == CLASS_TREE_COUNTS[n], n
         for n in range(3, MAX_UNICYCLIC_N + 1):
             assert sum(1 for _ in unicyclic_graphs(n)) == count_unicyclic(n), n
+            assert len(unicyclic_in_class_G(n)) == CLASS_UNICYCLIC_COUNTS[n], n
+
+    def test_class_lists_build_only_members(self, monkeypatch):
+        # the class comes from its own tables, so each graph built is kept
+        built = 0
+
+        def counted(word):
+            nonlocal built
+            built += 1
+            return canon.build(word)
+
+        monkeypatch.setattr(enumeration, "build", counted)
+        members = trees_in_class_T(MAX_TREE_N)
+        assert len(members) == built == CLASS_TREE_COUNTS[MAX_TREE_N]
+        built = 0
+        members = unicyclic_in_class_G(MAX_UNICYCLIC_N)
+        assert len(members) == built == CLASS_UNICYCLIC_COUNTS[MAX_UNICYCLIC_N]
 
 
 class TestTreeEnumeration:
@@ -200,6 +233,14 @@ class TestFilters:
             assert in_class_G(t) and t.is_tree()
         for g in unicyclic_in_class_G(9):
             assert in_class_G(g) and is_unicyclic(g)
+
+    def test_range_validation(self):
+        for members, n in [(trees_in_class_T, 0),
+                           (trees_in_class_T, MAX_TREE_N + 1),
+                           (unicyclic_in_class_G, 2),
+                           (unicyclic_in_class_G, MAX_UNICYCLIC_N + 1)]:
+            with pytest.raises(ValueError):
+                members(n)
 
     def test_filter_is_subset_and_order_stable(self):
         all8 = [canonical_form(t) for t in free_trees(8)]
