@@ -162,25 +162,25 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     _check_graph6_order(g)
-    input_g6 = to_graph6(g)
     reduce = final_reduction_graph if args.to == "final" else reduced_graph_steps
-    result, steps = reduce(g)
+    _, steps = reduce(g)
+    # a step starts from the graph its predecessor produced: one encode each
+    forms = [to_graph6(g), *(s.after for s in steps)]
     offset = sum(s.offset for s in steps)
     trace = ReductionTrace(g, steps, offset).to_json()
-    for step, js in zip(steps, trace["steps"]):
-        js.update(before_g6=step.before, after_g6=step.after)
+    for js, before, after in zip(trace["steps"], forms, forms[1:]):
+        js.update(before_g6=before, after_g6=after)
     _emit(
         {
-            "input_g6": input_g6,
-            "graph6": to_graph6(result),
+            "input_g6": forms[0],
+            "graph6": forms[-1],
             "offset": offset,
             "trace": trace,
         },
         args,
     )
     print(
-        f"{input_g6} -> {to_graph6(result)} offset={offset}"
-        f" steps={len(steps)}",
+        f"{forms[0]} -> {forms[-1]} offset={offset} steps={len(steps)}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -365,46 +365,32 @@ def find_internal_paths(g: Graph, k: int) -> list[PathLocation]:
 
 # -- star-like shapes ------------------------------------------------------
 
-def _legs_are_p2(g: Graph, center: int, skip: int | None = None) -> bool:
-    # Each branch at `center` (other than toward `skip`) must be a path of
-    # exactly two vertices: neighbor of degree 2 whose other neighbor is a
-    # leaf.  In a tree this makes every component of (side - center) a P_2.
-    count = 0
-    for a in g.neighbors(center):
-        if a == skip:
-            continue
-        if g.degree(a) != 2:
-            return False
-        b = next(w for w in g.neighbors(a) if w != center)
-        if g.degree(b) != 1:
-            return False
-        count += 1
-    return count >= 2
+def _centers(g: Graph) -> list[int]:
+    """The vertices of a tree left after removing every pendant and its
+    owner: [] unless g is a tree, p = q and every quasi-pendant has
+    degree 2.  Each leg is then a P_2, and but for P_4 each owner's other
+    neighbour is a center.  Connectivity, the dearest test, goes last."""
+    if g.edge_count != g.n - 1:
+        return []
+    prof = pendant_profile(g)
+    if (prof.p != prof.q or any(g.degree(v) != 2 for v in prof.quasi_pendants)
+            or not g.is_connected()):
+        return []
+    legs = set(prof.pendants).union(prof.quasi_pendants)
+    return [v for v in range(g.n) if v not in legs]
 
 
 def is_star_like(g: Graph) -> bool:
     """Tree on >= 5 vertices with a center whose removal leaves only P_2
     components."""
-    if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
-        return False
-    s = (g.n - 1) // 2
-    return any(
-        g.degree(u) == s and _legs_are_p2(g, u) for u in range(g.n)
-    ) and g.is_tree()
+    return g.n >= 5 and g.n % 2 == 1 and len(_centers(g)) == 1
 
 
 def is_double_star_like(g: Graph) -> bool:
-    """Two star-like trees joined by one edge between their centers."""
-    if g.n < 10 or g.n % 2 != 0 or g.edge_count != g.n - 1:
+    """Two star-like trees joined by one edge between their centers.  Two
+    centers of degree >= 3 are adjacent, since an owner of degree 2 cannot
+    join them."""
+    if g.n < 10 or g.n % 2:
         return False
-    for u, v in g.edges:
-        if (
-            g.degree(u) >= 3
-            and g.degree(v) >= 3
-            # the P_2 legs on both sides must cover all n vertices
-            and 2 * (g.degree(u) - 1) + 2 * (g.degree(v) - 1) + 2 == g.n
-            and _legs_are_p2(g, u, skip=v)
-            and _legs_are_p2(g, v, skip=u)
-        ):
-            return g.is_tree()
-    return False
+    centers = _centers(g)
+    return len(centers) == 2 and all(g.degree(c) >= 3 for c in centers)

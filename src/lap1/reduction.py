@@ -52,6 +52,7 @@ from .graph6 import to_graph6, write_edge_list
 from .graphs import (
     Graph,
     PathLocation,
+    PendantProfile,
     PENDANT_PATH,
     INTERNAL_PATH,
     find_pendant_paths,
@@ -118,20 +119,22 @@ class ReductionTrace:
 
 # -- individual operations ------------------------------------------------
 
-def _surplus_pendants(g: Graph) -> list[int]:
+def _surplus_pendants(g: Graph, prof: PendantProfile | None = None) -> list[int]:
     """The pendants of each quasi-pendant but its lowest-indexed one,
-    sorted: p - q vertices."""
-    prof = pendant_profile(g)
+    sorted: p - q vertices; prof, when given, is g's pendant profile."""
+    prof = prof or pendant_profile(g)
     by_owner: dict[int, list[int]] = {}
     for pend in prof.pendants:
         by_owner.setdefault(prof.pendant_owner[pend], []).append(pend)
     return sorted(v for pends in by_owner.values() for v in pends[1:])
 
 
-def reduced_graph(g: Graph) -> tuple[Graph, int]:
+def reduced_graph(g: Graph,
+                  prof: PendantProfile | None = None) -> tuple[Graph, int]:
     """Delete pendants until every quasi-pendant keeps exactly one (the
-    lowest-indexed).  Returns the reduced graph and the offset p - q."""
-    drop = _surplus_pendants(g)
+    lowest-indexed).  Returns the reduced graph and the offset p - q;
+    prof, when given, is g's pendant profile."""
+    drop = _surplus_pendants(g, prof)
     return g.delete_vertices(drop)[0], len(drop)
 
 

@@ -2,23 +2,24 @@
 reportable checks.
 
 A suite is one row of `_TABLE`: lowest order, default `max_n`, graph
-source, per-graph check and aggregate check.  A source is just a stream
-of `Graph`s.  One engine, `_run`, feeds it into the check one at a time,
-hands every (graph6, n, m) triple to the aggregate check, and builds the
-report, whose n_range ends at the largest order checked.  A
-check encodes its graph to graph6 once, for the report, and never parses
-it back.  With jobs > 1 the engine lists the source's graphs and pickles
-them to worker processes (a pickled `Graph` is n and its edge set), so
-checks are module-level.
+source, the row's own per-graph check (or none) and aggregate check.  A
+source is just a stream of `Graph`s.  One engine, `_run`, maps one step,
+`_check_graph`, over it.  The step encodes the graph to graph6 once, for
+the report, and never parses it back.  It compares three multiplicity
+routes (exact rank, characteristic polynomial, reduction pipeline) for
+every graph of every row, so a defect in any one engine surfaces as a
+"cross-oracle" violation, and a row's check adds only its own facts.
+The engine hands every (graph6, n, m) triple to the aggregate check and
+builds the report, whose n_range ends at the largest order checked.
+With jobs > 1 the engine lists the source's graphs and pickles them to
+worker processes (a pickled `Graph` is n and its edge set), so the step
+and the checks are module-level.
 
-Every per-graph check also cross-validates three multiplicity routes
-(exact rank, characteristic polynomial, reduction pipeline), so
-a defect in any one engine surfaces as a "cross-oracle" violation.  The
-three routes run once per checked graph, memoised so that suites sharing
-a graph share its answers.  Every other m_L(1) comes from leaf peeling,
-`multiplicity_one_by_peeling`, unmemoised: that of each graph a check
-derives (the reduced graph, G - e, the lemmas' transformations) and of
-the star-like trees.  Derived graphs are many, and holding their
+The three routes run once per checked graph, memoised so that suites
+sharing a graph share its answers.  Every other m_L(1) comes from leaf
+peeling, `multiplicity_one_by_peeling`, unmemoised: that of each graph a
+check derives (the reduced graph, G - e, the lemmas' transformations)
+and of the star-like trees.  Derived graphs are many, and holding their
 answers for the life of the process would cost more memory than
 recomputing the repeats costs time.
 """
@@ -31,7 +32,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from .canon import canonical_form
@@ -146,15 +147,20 @@ def _violation(g6: str, expected, actual, rule: str) -> dict:
     }
 
 
-def _cross_oracle(g: Graph, g6: str) -> tuple[int, list[dict]]:
-    me = _m1_exact(g)
-    mc = _m1_charpoly(g)
-    mf = _m1_fast(g)
-    if me == mc == mf:
-        return me, []
-    return me, [
-        _violation(g6, f"rank={me}", f"charpoly={mc} fast={mf}", "cross-oracle")
-    ]
+Check = Callable[[Graph, str, int], list[dict]]  # (g, graph6, m) -> violations
+Checked = tuple[str, int, int, list[dict]]  # (graph6, n, m, violations)
+
+
+def _check_graph(check: Check | None, g: Graph) -> Checked:
+    """One graph of any row: encode it once, compare the three routes,
+    then add the row's own check, if it has one."""
+    g6 = to_graph6(g)
+    me, mc, mf = _m1_exact(g), _m1_charpoly(g), _m1_fast(g)
+    viol = [] if me == mc == mf else [
+        _violation(g6, f"rank={me}", f"charpoly={mc} fast={mf}", "cross-oracle")]
+    if check is not None:
+        viol += check(g, g6, me)
+    return g6, g.n, me, viol
 
 
 def _map_graphs(fn, graphs: Iterable[Graph], jobs: int) -> Iterable:
@@ -227,31 +233,22 @@ def _faria_eq2(g6: str, me: int, p_q: int, inner: SparseIntMatrix) -> list[dict]
     return viol
 
 
-Checked = tuple[str, int, int, list[dict]]  # (graph6, n, m, violations)
-
-
-def _check_oracles(g: Graph) -> Checked:
-    g6 = to_graph6(g)
-    return g6, g.n, *_cross_oracle(g, g6)
-
-
-def _check_thm1(g: Graph) -> Checked:
-    g6 = to_graph6(g)
-    me, viol = _cross_oracle(g, g6)
-    gbar, offset = reduced_graph(g)  # offset = p - q
-    viol += _faria_eq2(g6, me, offset, internal_submatrix(g))
-    # with no surplus pendant the reduced graph is G itself
-    rhs = offset + multiplicity_one_by_peeling(gbar) if offset else me
-    if me != rhs:
-        viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me, "thm1-identity"))
-    return g6, g.n, me, viol
-
-
-def _check_lemmas(g: Graph) -> Checked:
-    g6 = to_graph6(g)
-    me, viol = _cross_oracle(g, g6)
+def _check_thm1(g: Graph, g6: str, me: int) -> list[dict]:
     prof = pendant_profile(g)
-    viol += _faria_eq2(g6, me, prof.p - prof.q, internal_submatrix(g, prof))
+    offset = prof.p - prof.q
+    viol = _faria_eq2(g6, me, offset, internal_submatrix(g, prof))
+    # with no surplus pendant the reduced graph is G itself
+    if offset:
+        rhs = offset + multiplicity_one_by_peeling(reduced_graph(g, prof)[0])
+        if me != rhs:
+            viol.append(_violation(g6, f"p-q+m(reduced)={rhs}", me,
+                                   "thm1-identity"))
+    return viol
+
+
+def _check_lemmas(g: Graph, g6: str, me: int) -> list[dict]:
+    prof = pendant_profile(g)
+    viol = _faria_eq2(g6, me, prof.p - prof.q, internal_submatrix(g, prof))
 
     for u, v in g.sorted_edges():
         md = multiplicity_one_by_peeling(g.remove_edge(u, v))
@@ -309,7 +306,7 @@ def _check_lemmas(g: Graph) -> Checked:
             mh = eigen_multiplicity(adjacency(contract_line_P4(g, path)), -1)
             if mh != ma:
                 viol.append(_violation(g6, ma, mh, "innerpath"))
-    return g6, g.n, me, viol
+    return viol
 
 
 # -- aggregate checks -------------------------------------------------------
@@ -373,12 +370,11 @@ def _lemmas_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
             viol.append(_violation(to_graph6(t), 0, m, "starlike"))
     cycles = range(3, 31)
     for n in cycles:
-        c = cycle_graph(n)
         want = cycle_multiplicity_one(n)
-        got, cross = _cross_oracle(c, to_graph6(c))
+        g6, _, got, cross = _check_graph(None, cycle_graph(n))
         viol += cross
         if got != want:
-            viol.append(_violation(to_graph6(c), want, got, "cycle-closed-form"))
+            viol.append(_violation(g6, want, got, "cycle-closed-form"))
     return len(trees) + len(cycles), viol
 
 
@@ -390,19 +386,24 @@ class Suite:
     lo: int  # lowest order checked; n_range starts here
     max_n: int  # default highest order
     graphs: Callable[[int, int, int], Iterator[Graph]]  # (max_n, seed, n_random)
-    check: Callable[[Graph], Checked]
+    check: Check | None  # the row's own facts; the engine adds the routes
     # (results, the largest order checked) -> (graphs checked beyond the
     # source's, violations)
     aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
     seeded: bool = False  # the source draws random graphs from the seed
+
+    def top(self, max_n: int | None) -> int:
+        """The max_n the row runs with: the given one, or its default when
+        None, raised to its lowest order.  No graph it checks is larger."""
+        return max(self.max_n if max_n is None else max_n, self.lo)
 
 
 _TABLE = {
     s.name: s
     for s in (
         Suite("thm1", 1, 12, _thm1_graphs, _check_thm1, seeded=True),
-        Suite("thm2", 6, 14, _class_T, _check_oracles, _thm2_aggregate),
-        Suite("thm3", 3, 13, _class_G, _check_oracles, _thm3_aggregate),
+        Suite("thm2", 6, 14, _class_T, None, _thm2_aggregate),
+        Suite("thm3", 3, 13, _class_G, None, _thm3_aggregate),
         Suite("lemmas", 1, 10, _trees_and_unicyclic, _check_lemmas,
               _lemmas_aggregate),
     )
@@ -412,21 +413,19 @@ SUITES = tuple(_TABLE)
 
 
 def suite_max_n(suite: str, max_n: int | None = None) -> int:
-    """The max_n a suite runs with: the given one, or the suite's default
-    when None, raised to the suite's lowest order.  No graph it checks is
-    larger."""
-    s = _TABLE[suite]
-    return max(s.max_n if max_n is None else max_n, s.lo)
+    """`Suite.top` of the named suite."""
+    return _TABLE[suite].top(max_n)
 
 
 def _run(
     suite: Suite, max_n: int | None, seed: int = 0, n_random: int = 0, jobs: int = 1
 ) -> VerificationReport:
     t0 = time.monotonic()
-    source = suite.graphs(suite_max_n(suite.name, max_n), seed, n_random)
+    source = suite.graphs(suite.top(max_n), seed, n_random)
     results: Results = []
     violations = []
-    for g6, n, m, viol in _map_graphs(suite.check, source, jobs):
+    step = partial(_check_graph, suite.check)
+    for g6, n, m, viol in _map_graphs(step, source, jobs):
         results.append((g6, n, m))
         violations += viol
     top = max((n for _, n, _ in results), default=suite.lo)

@@ -29,6 +29,7 @@ from lap1.graphs import (
 from lap1.linalg import laplacian_multiplicity_one
 from lap1.reduction import ReductionTrace
 from lap1.verify import (
+    Suite,
     clear_caches,
     run_suite,
     verify_lemmas,
@@ -219,7 +220,7 @@ class TestSuites:
         # graph with p > q, and no other rule may fire
         seen = []
 
-        def whole_laplacian(g):
+        def whole_laplacian(g, prof=None):
             prof = pendant_profile(g)
             seen.append((to_graph6(g), prof.p > prof.q))
             return linalg.laplacian(g)
@@ -266,6 +267,24 @@ class TestSuites:
         assert Counter(v["rule"] for v in r.violations) == {
             "cross-oracle": r.graphs_checked
         }
+
+    def test_a_row_without_a_check_is_still_cross_checked(self, monkeypatch):
+        # the engine compares the three routes itself, so a row with no
+        # check of its own still reports an off-by-one rank on every graph
+        probe = Suite("probe", 1, 6, verify._trees_and_unicyclic, None)
+        real_rank = linalg.rank
+        clear_caches()
+        monkeypatch.setattr(linalg, "rank", lambda m: real_rank(m) + 1)
+        try:
+            r = verify._run(probe, None)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert r.graphs_checked == 35  # 14 trees and 21 unicyclic graphs
+        assert Counter(v["rule"] for v in r.violations) == {
+            "cross-oracle": r.graphs_checked
+        }
+        assert len({v["graph6"] for v in r.violations}) == r.graphs_checked
 
     @pytest.mark.parametrize("entry, kwargs", [
         pytest.param(verify_thm2, dict(max_n=10), id="thm2"),
