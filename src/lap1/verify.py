@@ -15,10 +15,10 @@ With jobs > 1 the engine lists the source's graphs and pickles them to
 worker processes (a pickled `Graph` is n and its edge set), so the step
 and the checks are module-level.
 
-The three routes run once per checked graph, memoised so that suites
-sharing a graph share its answers.  Every other m_L(1) comes from leaf
-peeling, `multiplicity_one_by_peeling`, unmemoised: that of each graph a
-check derives (the reduced graph, G - e, the lemmas' transformations)
+The three routes run once per checked graph, memoised by its labelled
+graph6 (never a `Graph`) so that suites sharing a graph share its answers.
+Every other m_L(1) comes from leaf peeling, unmemoised: that of each graph
+a check derives (the reduced graph, G - e, the lemmas' transformations)
 and of the star-like trees.  Derived graphs are many, and holding their
 answers for the life of the process would cost more memory than
 recomputing the repeats costs time.
@@ -32,18 +32,18 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 from .canon import canonical_form
 from .enumeration import (
     MAX_TREE_N,
     MAX_UNICYCLIC_N,
+    _trees,
+    _unicyclic,
     free_trees,
     random_connected_graph,
-    trees_in_class_T,
     unicyclic_graphs,
-    unicyclic_in_class_G,
 )
 from .extremal import extremal_tree_unverified, extremal_unicyclic_unverified
 from .graph6 import to_graph6
@@ -104,12 +104,10 @@ class VerificationReport:
         )
 
 
-@lru_cache(maxsize=None)
 def _m1_exact(g: Graph) -> int:
     return laplacian_multiplicity_one(g)
 
 
-@lru_cache(maxsize=None)
 def _m1_charpoly(g: Graph) -> int:
     """The number of zero coefficients at the low end of det(xI - (L - I)):
     L - I is symmetric, so the algebraic multiplicity of its eigenvalue 0
@@ -127,15 +125,15 @@ def _m1_charpoly(g: Graph) -> int:
     return next(i for i, c in enumerate(coeffs) if c)
 
 
-@lru_cache(maxsize=None)
 def _m1_fast(g: Graph) -> int:
     return multiplicity_fast(g)[0]
 
 
+_ROUTES: dict[str, tuple[int, int, int]] = {}  # graph6 -> (rank, charpoly, fast)
+
+
 def clear_caches() -> None:
-    _m1_exact.cache_clear()
-    _m1_charpoly.cache_clear()
-    _m1_fast.cache_clear()
+    _ROUTES.clear()
 
 
 def _violation(g6: str, expected, actual, rule: str) -> dict:
@@ -155,7 +153,9 @@ def _check_graph(check: Check | None, g: Graph) -> Checked:
     """One graph of any row: encode it once, compare the three routes,
     then add the row's own check, if it has one."""
     g6 = to_graph6(g)
-    me, mc, mf = _m1_exact(g), _m1_charpoly(g), _m1_fast(g)
+    if g6 not in _ROUTES:
+        _ROUTES[g6] = _m1_exact(g), _m1_charpoly(g), _m1_fast(g)
+    me, mc, mf = _ROUTES[g6]
     viol = [] if me == mc == mf else [
         _violation(g6, f"rank={me}", f"charpoly={mc} fast={mf}", "cross-oracle")]
     if check is not None:
@@ -209,12 +209,12 @@ def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
 
 def _class_T(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
     return (t for n in range(6, min(max_n, MAX_TREE_N) + 1)
-            for t in trees_in_class_T(n))
+            for t in _trees(n, True))
 
 
 def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
     return (g for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1)
-            for g in unicyclic_in_class_G(n))
+            for g in _unicyclic(n, True))
 
 
 # -- per-graph checks ------------------------------------------------------

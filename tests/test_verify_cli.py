@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 
 import lap1.canon as canon
 import lap1.cli as cli
+import lap1.enumeration as enumeration
 import lap1.graph6 as graph6
 import lap1.linalg as linalg
 import lap1.verify as verify
@@ -39,6 +42,7 @@ from lap1.verify import (
 )
 import oracles
 from families import caterpillar, is_unicyclic, petersen, prufer_tree, relabelled, sun
+from fixtures import CLASS_TREE_COUNTS, CLASS_UNICYCLIC_COUNTS
 
 
 def strip_runtime(report_json: dict) -> dict:
@@ -69,11 +73,55 @@ class TestSuites:
 
     def test_route_caches_hold_checked_graphs_only(self):
         # the graphs a check derives take the peeling route, unmemoised,
-        # so no route cache outgrows the graphs the report counts
+        # so the route memo does not outgrow the graphs the report counts;
+        # it holds a graph6 string and three ints per graph, no Graph
         clear_caches()
         r = verify_lemmas(max_n=8)
-        for route in (verify._m1_exact, verify._m1_charpoly, verify._m1_fast):
-            assert 0 < route.cache_info().currsize <= r.graphs_checked
+        memo = verify._ROUTES
+        assert 0 < len(memo) <= r.graphs_checked
+        for g6, routes in memo.items():
+            assert type(g6) is str and type(routes) is tuple and len(routes) == 3
+            assert all(type(m) is int for m in routes)
+
+    def test_suite_retains_little_per_checked_graph(self):
+        # what a suite leaves behind is its route memo, not its graphs,
+        # and what it holds at once is one graph, not a level of them
+        for n in range(3, 13):  # the grammar's tables, memoised for good
+            for _ in enumeration._unicyclic_words(n, True):
+                pass
+        clear_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r = verify_thm3(max_n=12)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            clear_caches()
+        assert r.passed and r.graphs_checked == 1086
+        assert retained - base < 400 * r.graphs_checked
+        assert peak - base < 1_000_000
+
+    @pytest.mark.parametrize("source, lo, top, counts", [
+        pytest.param(verify._class_T, 6, 16, CLASS_TREE_COUNTS, id="thm2"),
+        pytest.param(verify._class_G, 3, 14, CLASS_UNICYCLIC_COUNTS, id="thm3"),
+    ])
+    def test_class_sources_stream(self, monkeypatch, source, lo, top, counts):
+        # every graph taken from a class source builds that one graph,
+        # never the rest of its level
+        built = []
+        real = canon.build
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lap1") and getattr(module, "build", None) is real:
+                monkeypatch.setattr(
+                    module, "build", lambda word: built.append(word) or real(word))
+        taken = 0
+        for _ in source(top, 0, 0):
+            taken += 1
+            assert len(built) == taken
+        assert taken == sum(counts[n] for n in range(lo, top + 1))
 
     def test_report_json_shape(self):
         r = verify_thm2(max_n=7)
