@@ -82,13 +82,13 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return g
 
 
-def _check_graph6_order(g: Graph) -> None:
-    """Reduce reports carry graph6, so an order it cannot encode is
-    rejected before any reduction runs."""
+def _check_graph6_order(g: Graph, what: str) -> None:
+    """Reduce reports carry graph6, so an order it cannot encode is a
+    usage error, checked on the input and again on the result."""
     if g.n > GRAPH6_MAX_N:
         raise UsageError(
-            f"n={g.n} exceeds {GRAPH6_MAX_N}, the largest order graph6"
-            " encodes; mult accepts it"
+            f"{what} has order {g.n}, over {GRAPH6_MAX_N}, the largest"
+            " graph6 encodes; mult writes no graph6"
         )
 
 
@@ -161,28 +161,16 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    _check_graph6_order(g)
+    _check_graph6_order(g, "the input")
     reduce = final_reduction_graph if args.to == "final" else reduced_graph_steps
-    _, steps = reduce(g)
-    # a step starts from the graph its predecessor produced: one encode each
-    forms = [to_graph6(g), *(s.after for s in steps)]
-    offset = sum(s.offset for s in steps)
-    trace = ReductionTrace(g, steps, offset).to_json()
-    for js, before, after in zip(trace["steps"], forms, forms[1:]):
-        js.update(before_g6=before, after_g6=after)
-    _emit(
-        {
-            "input_g6": forms[0],
-            "graph6": forms[-1],
-            "offset": offset,
-            "trace": trace,
-        },
-        args,
-    )
-    print(
-        f"{forms[0]} -> {forms[-1]} offset={offset} steps={len(steps)}",
-        file=sys.stderr,
-    )
+    result, steps = reduce(g)
+    _check_graph6_order(result, f"the {args.to} graph")
+    trace = ReductionTrace(g, steps, sum(s.offset for s in steps))
+    before, after = to_graph6(g), to_graph6(result)
+    _emit({"input_g6": before, "graph6": after, "offset": trace.total,
+           "trace": trace.to_json()}, args)
+    print(f"{before} -> {after} offset={trace.total} steps={len(steps)}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -31,18 +31,18 @@ pendant P_3s keyed on input labels.  A step costs time in proportion to
 the vertices it deletes and their neighbours, so a run is
 O((n + m) log n).
 
-A trace records what each step deleted, not the graphs: a rewrite keeps
-the sorted input labels it deleted, a terminal rule the input labels of
-its component and its residual.  Its JSON is the input as an edge list,
-then {rule, vertices, offset} per step and the total, all O(n + m).  A
-step's `before` and `after` rebuild its graph from the input on every
-read and write it in graph6: the input minus the earlier deletions,
-survivors in input order, and for a terminal rule the input's subgraph
-on its component.  Nothing here labels a graph canonically.
+A trace records what each step did, not the graphs: a rewrite the sorted
+input labels it deleted, a ReductionOperation its pendant and neighbour
+in the labels of the graph before it, a terminal rule its component's
+input labels and its residual.  `lap1 mult` and `lap1 reduce` write it
+as the input's edge list, then {rule, vertices, offset} per step and the
+total, all O(n + m).  `_Replay`, the one maker of step graphs, rebuilds
+a step's `before` and `after` on each read; nothing here labels a graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -79,7 +79,7 @@ class ReductionStep:
     that pendant's neighbour in the labels of its `before`, and a terminal
     rule the input labels of its component, with the residual as its
     offset.  `before` and `after` are the graph6 of the graph before and
-    after the step, rebuilt on every read and never kept."""
+    after the step, which `_Replay` rebuilds on every read, never kept."""
 
     rule: str
     vertices: tuple[int, ...]
@@ -115,6 +115,37 @@ class ReductionTrace:
             "steps": [s.to_json() for s in self.steps],
             "total": self.total,
         }
+
+
+class _Replay:
+    """The graphs of one run, from its whole graph g (the input, then the
+    vertices steps created, in creation order, and every edge ever held):
+    graph i is g less the first i steps' deletions and the vertices made
+    after step i; a terminal step's is g's subgraph on its component."""
+
+    __slots__ = ("g", "deleted", "ends")
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.deleted: list[tuple[int, ...]] = []
+        self.ends = [g.n]  # ends[i]: vertices created by the end of step i
+
+    def record(self, deleted: tuple[int, ...], end: int) -> tuple[partial, ...]:
+        self.deleted.append(deleted)
+        self.ends.append(end)
+        i = len(self.deleted)
+        return partial(self.form, i - 1), partial(self.form, i)
+
+    def graph(self, i: int) -> Graph:
+        drop = set(range(self.ends[i], self.g.n)).union(*self.deleted[:i])
+        return self.g.delete_vertices(drop)[0]
+
+    def form(self, i: int) -> str:
+        return to_graph6(self.graph(i))
+
+    def component_form(self, vs: tuple[int, ...]) -> str:
+        drop = set(range(self.g.n)).difference(vs)
+        return to_graph6(self.g.delete_vertices(drop)[0])
 
 
 # -- individual operations ------------------------------------------------
@@ -167,37 +198,42 @@ def reduction_operation(g: Graph, u: int, v: int) -> Graph:
 
 def final_reduction_graph(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     """Apply the reduction operation until no quasi-pendant vertex has
-    degree greater than 2, with one ReductionOperation step per
-    application.  Each application removes one such vertex and creates
-    only degree-2 quasi-pendants, so this terminates within q(g) steps.
-    A step names its pendant and that pendant's neighbour, in the labels
-    of the graph before it."""
+    degree greater than 2, one ReductionOperation step each time.  It
+    deletes a pendant u and its neighbour v and hangs a fresh P_2 on each
+    other neighbour of v, so no survivor's degree or pendants change and
+    no fresh vertex has degree over 2: the steps are g's quasi-pendants
+    of degree > 2, in order, each with its least pendant.  Fresh vertices
+    follow g's, in creation order, so u and v in the labels of a step's
+    `before` are input labels less the deleted input labels below."""
+    adj = list(map(set, map(g.neighbors, range(g.n))))
+    edges = list(g.edges)  # the run's whole graph
+    dead: list[int] = []  # the deleted input labels, sorted
+    replay = _Replay(g)
     steps: list[ReductionStep] = []
-    cur = g
-    while True:
-        prof = pendant_profile(cur)
-        target = next(
-            (v for v in prof.quasi_pendants if cur.degree(v) > 2), None
-        )
-        if target is None:
-            return cur, tuple(steps)
-        u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
-        before, cur = cur, reduction_operation(cur, u, target)
-        steps.append(ReductionStep(REDUCTION_OPERATION, (u, target), 0,
-                                   partial(to_graph6, before),
-                                   partial(to_graph6, cur)))
+    for v in pendant_profile(g).quasi_pendants:
+        if g.degree(v) > 2:
+            u = min(w for w in g.neighbors(v) if g.degree(w) == 1)
+            vertices = (u - bisect(dead, u), v - bisect(dead, v))
+            insort(dead, u)
+            insort(dead, v)
+            for w in sorted(adj[v] - {u}):
+                inner = len(adj)
+                adj[w] ^= {v, inner}  # v out, inner in
+                adj += ({w, inner + 1}, {inner})
+                edges += ((w, inner), (inner, inner + 1))
+            steps.append(ReductionStep(REDUCTION_OPERATION, vertices, 0,
+                                       *replay.record((u, v), len(adj))))
+    replay.g = Graph._unchecked(len(adj), edges)  # now that it is whole
+    return replay.graph(len(steps)), tuple(steps)
 
 
 def reduced_graph_steps(g: Graph) -> tuple[Graph, tuple[ReductionStep, ...]]:
     """`reduced_graph` with its one PendantCluster step, none when g is
     reduced already."""
-    drop = tuple(_surplus_pendants(g))
-    result = g.delete_vertices(drop)[0]
-    if not drop:
-        return result, ()
-    return result, (ReductionStep(PENDANT_CLUSTER, drop, len(drop),
-                                  partial(to_graph6, g),
-                                  partial(to_graph6, result)),)
+    replay, drop = _Replay(g), tuple(_surplus_pendants(g))
+    steps = (ReductionStep(PENDANT_CLUSTER, drop, len(drop),
+                           *replay.record(drop, g.n)),) if drop else ()
+    return replay.graph(len(steps)), steps
 
 
 def _check_pendant_p3(g: Graph, path: PathLocation) -> None:
@@ -291,27 +327,6 @@ def cycle_multiplicity_one(n: int) -> int:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return 2 if n % 6 == 0 else 0
-
-
-class _Replay:
-    """The graphs of one pipeline run, rebuilt from its input and the
-    vertices its steps name: graph i is the input minus the first i
-    deletions, survivors in their input order, and a terminal step's
-    graph is the input's subgraph on its component."""
-
-    __slots__ = ("g", "deleted")
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self.deleted: list[tuple[int, ...]] = []
-
-    def form(self, i: int) -> str:
-        drop = set().union(*self.deleted[:i])
-        return to_graph6(self.g.delete_vertices(drop)[0])
-
-    def component_form(self, vs: tuple[int, ...]) -> str:
-        drop = set(range(self.g.n)).difference(vs)
-        return to_graph6(self.g.delete_vertices(drop)[0])
 
 
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
@@ -422,11 +437,8 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
             drop, rule, offset = heappop(heap), DELETE_PENDANT_P3, 0
         delete(drop)
         vertices = tuple(sorted(drop))
-        replay.deleted.append(vertices)
-        i = len(replay.deleted)
         steps.append(ReductionStep(rule, vertices, offset,
-                                   partial(replay.form, i - 1),
-                                   partial(replay.form, i)))
+                                   *replay.record(vertices, n)))
         total += offset
 
     # Components never split, so the final ones are those met so far,

@@ -472,3 +472,50 @@ def trace_faults(trace: dict) -> list[str]:
     if trace["total"] != sum(s["offset"] for s in steps):
         faults.append(f"total {trace['total']} is not the sum of the offsets")
     return faults
+
+
+def replay_reduce(trace: dict) -> tuple[list[str], int, set[tuple[int, int]]]:
+    """Replays the trace of `lap1 reduce` (the input as an edge list, then
+    PendantCluster and ReductionOperation steps, each naming vertices in
+    the labels of the graph before it) on plain adjacency sets, renumbering
+    the survivors in order after each step and the fresh vertices after
+    them.  Returns what is wrong with it and the graph it ends with, as
+    its order and edge set.  A fault is a PendantCluster step that
+    deletes other than each owner's pendants but the lowest, or whose
+    offset is not their number; a ReductionOperation that names no
+    pendant and its neighbour of degree >= 3, or whose offset is not 0;
+    any other rule; and a wrong total."""
+    head, *lines = trace["input_edge_list"].splitlines()
+    adj: list[set[int]] = [set() for _ in range(int(head.split()[0]))]
+    for line in lines:
+        u, v = map(int, line.split())
+        adj[u].add(v)
+        adj[v].add(u)
+    faults = []
+    for i, step in enumerate(trace["steps"]):
+        vs, rule, offset = step["vertices"], step["rule"], step["offset"]
+        if len(set(vs)) != len(vs) or not all(0 <= x < len(adj) for x in vs):
+            return faults + [f"step {i}: {vs} are not distinct vertices"], 0, set()
+        hang = []
+        if rule == "PendantCluster":
+            surplus = _surplus_pendants(adj, set(range(len(adj))))
+            if not vs or vs != surplus or offset != len(vs):
+                faults.append(f"step {i}: {vs} are not the surplus pendants {surplus}")
+        elif rule == "ReductionOperation" and len(vs) == 2:
+            u, v = vs
+            if adj[u] != {v} or len(adj[v]) < 3 or offset:
+                faults.append(f"step {i}: {vs} is no pendant and its neighbour"
+                              " of degree >= 3, with offset 0")
+            hang = sorted(adj[v] - {u})
+        else:
+            return faults + [f"step {i}: {rule} on {vs} is no reduce step"], 0, set()
+        renumber = {x: j for j, x in enumerate(x for x in range(len(adj))
+                                               if x not in vs)}
+        adj = [{renumber[y] for y in adj[x] if y in renumber} for x in renumber]
+        for w in hang:  # a fresh P_2, inner vertex first, on each of them
+            inner = len(adj)
+            adj[renumber[w]].add(inner)
+            adj += [{renumber[w], inner + 1}, {inner}]
+    if trace["total"] != sum(s["offset"] for s in trace["steps"]):
+        faults.append(f"total {trace['total']} is not the sum of the offsets")
+    return faults, len(adj), {(u, v) for u in range(len(adj)) for v in adj[u] if u < v}

@@ -8,6 +8,7 @@ import json
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -42,7 +43,7 @@ from lap1.reduction import (
     reduced_graph,
     reduction_operation,
 )
-from lap1.enumeration import free_trees, unicyclic_graphs
+from lap1.enumeration import free_trees, random_connected_graph, unicyclic_graphs
 from lap1.extremal import extremal_tree, extremal_unicyclic
 from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
 from families import caterpillar, induced, prufer_tree, relabelled, sun
@@ -71,6 +72,24 @@ def with_forms(trace: reduction.ReductionTrace) -> dict:
                    "offset": s.offset} for s in trace.steps],
         "total": trace.total,
     }
+
+
+def reference_final_reduction(g: Graph) -> tuple[Graph, list[tuple]]:
+    """The final reduction graph by the definition, from public operations
+    only: a fresh pendant census of the current graph before each step,
+    the first quasi-pendant of degree > 2 and its least pendant, and the
+    graph rebuilt by `reduction_operation`.  Returns the graph and each
+    step's (rule, vertices, before, after)."""
+    steps, cur = [], g
+    while True:
+        prof = pendant_profile(cur)
+        target = next((v for v in prof.quasi_pendants if cur.degree(v) > 2), None)
+        if target is None:
+            return cur, steps
+        u = min(w for w in cur.neighbors(target) if cur.degree(w) == 1)
+        before, cur = cur, reduction_operation(cur, u, target)
+        steps.append(("ReductionOperation", (u, target),
+                      to_graph6(before), to_graph6(cur)))
 
 
 class TestReducedGraph:
@@ -181,6 +200,69 @@ class TestFinalReduction:
             assert chain[-1] == to_graph6(fr)
             assert all(s.rule == "ReductionOperation" and s.offset == 0
                        for s in steps)
+
+
+    def test_matches_the_reference_loop(self):
+        # every tree of order <= 10 and unicyclic graph of order <= 9, the
+        # spine of three adjacent quasi-pendants of degree >= 3, and
+        # seeded random graphs with pendants hung on them
+        graphs = [g for n in range(1, 11) for g in free_trees(n)]
+        graphs += [g for n in range(3, 10) for g in unicyclic_graphs(n)]
+        graphs.append(Graph(10, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6),
+                                 (4, 7), (7, 8), (7, 9)]))
+        rng = random.Random(43)
+        for seed in range(12):
+            h = random_connected_graph(14, Fraction(1, 4), seed)
+            hung = [(rng.randrange(14 + i), 14 + i) for i in range(8)]
+            graphs.append(Graph(22, [*h.edges, *hung]))
+        assert len(graphs) == 584 + 1 + 12
+        fired = []
+        for g in graphs:
+            fr, steps = final_reduction_graph(g)
+            want, ref_steps = reference_final_reduction(g)
+            assert fr == want, to_graph6(g)
+            assert [(s.rule, s.vertices, s.before, s.after)
+                    for s in steps] == ref_steps, to_graph6(g)
+            fired.append(len(steps))
+        # the spine and every random graph take steps, several each
+        assert min(fired[584:]) >= 2 and sum(fired) > 900
+
+    def test_reaches_order_ten_to_the_five(self, monkeypatch):
+        # caterpillar(25000) has 25,001 quasi-pendants of degree 3, each
+        # one step; no step's graph is built, so nothing is encoded
+        def forbidden(g):
+            raise AssertionError("a step's graph was encoded")
+
+        monkeypatch.setattr(reduction, "to_graph6", forbidden)
+        k = 25000
+        g = caterpillar(k)
+        for h in (g, relabelled(g, random.Random(47))):
+            t0 = time.perf_counter()
+            fr, steps = final_reduction_graph(h)
+            assert time.perf_counter() - t0 < 5.0
+            # each step deletes two vertices and three edges and adds two
+            # P_2s, four vertices and four edges
+            assert len(steps) == k + 1
+            assert (fr.n, fr.edge_count) == (h.n + 2 * (k + 1),
+                                             h.edge_count + k + 1)
+            prof = pendant_profile(fr)
+            assert all(fr.degree(v) <= 2 for v in prof.quasi_pendants)
+
+    def test_retains_about_the_input_not_every_step(self):
+        # at order 2,006 (501 steps) the steps keep the run's whole graph
+        # and what each deleted, not one graph per step
+        tracemalloc.start()
+        try:
+            g = caterpillar(500)
+            gc.collect()
+            input_size = tracemalloc.get_traced_memory()[0]
+            fr, steps = final_reduction_graph(g)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - input_size
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 501
+        assert retained < 10 * input_size
 
 
 class TestDeletePendantP3:

@@ -45,6 +45,22 @@ from families import caterpillar, is_unicyclic, petersen, prufer_tree, relabelle
 from fixtures import CLASS_TREE_COUNTS, CLASS_UNICYCLIC_COUNTS
 
 
+def replayed(out: dict) -> list[dict]:
+    """The steps of a reduce report, once `oracles.replay_reduce` has
+    replayed them without fault from the input's edge list to the
+    reported graph6, and the report's graphs and offset agree."""
+    faults, n, edges = oracles.replay_reduce(out["trace"])
+    assert faults == []
+    result = parse_graph6(out["graph6"])
+    assert (n, edges) == (result.n, set(result.edges))
+    assert read_edge_list(out["trace"]["input_edge_list"]) == parse_graph6(
+        out["input_g6"])
+    assert out["offset"] == out["trace"]["total"]
+    assert all(set(s) == {"rule", "vertices", "offset"}
+               for s in out["trace"]["steps"])
+    return out["trace"]["steps"]
+
+
 def strip_runtime(report_json: dict) -> dict:
     out = dict(report_json)
     out.pop("runtime_ms")
@@ -507,9 +523,9 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["offset"] == 2
         assert parse_graph6(out["graph6"]).n == 2
-        (step,) = out["trace"]["steps"]
+        (step,) = replayed(out)
         assert (step["rule"], step["vertices"]) == ("PendantCluster", [2, 3])
-        assert (step["before_g6"], step["after_g6"]) == ("Cs", "A_")
+        assert (out["input_g6"], out["graph6"]) == ("Cs", "A_")
 
     def test_reduce_to_final(self, capsys):
         assert cli.main(
@@ -529,19 +545,18 @@ class TestCli:
 
         prof = pendant_profile(result)
         assert all(result.degree(v) <= 2 for v in prof.quasi_pendants)
-        assert all(s["rule"] == "ReductionOperation" for s in out["trace"]["steps"])
+        assert all(s["rule"] == "ReductionOperation" for s in replayed(out))
 
         # a spine of three quasi-pendants of degree >= 3: each step starts
-        # from the graph the previous one produced
+        # from the graph the previous one produced, and names its pendant
+        # and neighbour in that graph's labels
         g = Graph(10, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7),
                        (7, 8), (7, 9)])
         assert cli.main(["reduce", "--g6", to_graph6(g), "--to", "final"]) == 0
         out = json.loads(capsys.readouterr().out)
-        steps = out["trace"]["steps"]
-        chain = [to_graph6(g)] + [s["after_g6"] for s in steps]
+        steps = replayed(out)
         assert len(steps) == 3
-        assert [s["before_g6"] for s in steps] == chain[:-1]
-        assert chain[-1] == out["graph6"]
+        assert [s["vertices"] for s in steps] == [[0, 1], [3, 2], [4, 3]]
 
     @pytest.mark.parametrize("to", ["reduced", "final"])
     def test_reduce_labels_nothing(self, to, capsys, monkeypatch):
@@ -556,18 +571,23 @@ class TestCli:
         for g6 in ("E~a?", to_graph6(g)):
             assert cli.main(["reduce", "--g6", g6, "--to", to]) == 0
             out = json.loads(capsys.readouterr().out)
-            steps = out["trace"]["steps"]
-            assert steps and out["input_g6"] == g6
-            # each step's graph is the one the step before it produced,
-            # written in its own labels
-            chain = [g6] + [s["after_g6"] for s in steps]
-            assert [s["before_g6"] for s in steps] == chain[:-1]
-            assert chain[-1] == out["graph6"]
-            for s in steps:
-                if s["rule"] == "ReductionOperation":
-                    pendant, neighbour = s["vertices"]
-                    before = parse_graph6(s["before_g6"])
-                    assert list(before.neighbors(pendant)) == [neighbour]
+            # each step names what it did in the labels of the graph the
+            # step before it produced, and the replay ends on graph6
+            assert replayed(out) and out["input_g6"] == g6
+
+    def test_final_graph_graph6_cannot_encode_is_a_usage_error(
+        self, capsys, monkeypatch
+    ):
+        # an input graph6 encodes may reduce to one it cannot: with the
+        # limit at 100, K_{1,40} of order 41 has a final graph of order 117
+        monkeypatch.setattr(graph6, "MAX_N", 100)
+        monkeypatch.setattr(cli, "GRAPH6_MAX_N", 100)
+        g6 = to_graph6(star_graph(40))
+        assert cli.main(["reduce", "--g6", g6, "--to", "final"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the final graph has order 117, over 100" in captured.err
+        assert cli.main(["reduce", "--g6", g6]) == 0
 
     def test_enumerate_counts(self, capsys):
         assert cli.main(["enumerate", "--class", "tree", "--n", "7"]) == 0
