@@ -101,7 +101,7 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "file", None):
         try:
             text = Path(args.file).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.file}: {exc}") from exc
         lines = [line for line in text.splitlines() if line.strip()]
         head = lines[0] if lines else ""
@@ -125,7 +125,10 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 def _emit(payload: dict | list, args: argparse.Namespace) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "json_out", None):
-        Path(args.json_out).write_text(text + "\n")
+        try:
+            Path(args.json_out).write_text(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.json_out}: {exc}") from exc
     else:
         print(text)
 
@@ -166,10 +169,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     result, steps = reduce(g)
     _check_graph6_order(result, f"the {args.to} graph")
     trace = ReductionTrace(g, steps, sum(s.offset for s in steps))
-    before, after = to_graph6(g), to_graph6(result)
-    _emit({"input_g6": before, "graph6": after, "offset": trace.total,
-           "trace": trace.to_json()}, args)
-    print(f"{before} -> {after} offset={trace.total} steps={len(steps)}",
+    _emit({"input_g6": to_graph6(g), "graph6": to_graph6(result),
+           "offset": trace.total, "trace": trace.to_json()}, args)
+    print(f"n={g.n} -> n={result.n} offset={trace.total} steps={len(steps)}",
           file=sys.stderr)
     return EXIT_OK
 

@@ -8,7 +8,7 @@ Laplacian eigenvalue 1:
 * ReductionOperation remove a pendant and its neighbor, hang a fresh P_2
                      on every other former neighbor; preserving for
                      neighbor degree >= 3
-* DeletePendantP3    drop a pendant P_3 from a tree; preserving
+* DeletePendantP3    drop a pendant P_3; preserving
 * terminal rules     StarLikeZero / DoubleStarLikeZero (multiplicity 0),
                      CycleClosedForm (2 if 6 | n else 0),
                      ExactRankFallback (leaf elimination, then the
@@ -26,10 +26,9 @@ records:
 
 `multiplicity_fast` applies PendantCluster and DeletePendantP3 to one
 mutable work state instead of rebuilding the graph: adjacency sets, the
-pendants of each quasi-pendant, a tree flag per component and a heap of
-pendant P_3s keyed on input labels.  A step costs time in proportion to
-the vertices it deletes and their neighbours, so a run is
-O((n + m) log n).
+pendants of each quasi-pendant and a heap of pendant P_3s keyed on input
+labels.  A step costs time in proportion to the vertices it deletes and
+their neighbours, so a run is O((n + m) log n).
 
 A trace records what each step did, not the graphs: a rewrite the sorted
 input labels it deleted, a ReductionOperation its pendant and neighbour
@@ -243,13 +242,19 @@ def _check_pendant_p3(g: Graph, path: PathLocation) -> None:
         raise ValueError(f"{path.vertices} is not a pendant P_3 of this graph")
 
 
-def delete_pendant_P3(t: Graph, path: PathLocation) -> Graph:
-    """Delete a pendant P_3 from a tree; the multiplicity of 1 is
-    unchanged."""
-    if not t.is_tree():
-        raise ValueError("pendant P_3 deletion is stated for trees only")
-    _check_pendant_p3(t, path)
-    result, _ = t.delete_vertices(path.vertices)
+def delete_pendant_P3(g: Graph, path: PathLocation) -> Graph:
+    """Delete a pendant P_3 from any graph; the multiplicity of 1 is
+    unchanged.
+
+    By leaf elimination on L - I (Jacobs & Trevisan, LAA 434, 2011): the
+    path is (a, b, tip) and a has one other neighbour x.  The tip's
+    diagonal is 0, so the tip and b pivot as a 2x2 block of rank 2, which
+    leaves a a leaf of diagonal 1.  That pivots on itself and lowers x's
+    diagonal by 1, as x loses a neighbour, so what is left is exactly
+    L - I of g less the path.  Three vertices go with rank 3, and no step
+    needs g to be a tree.  Deleting the path cannot disconnect g."""
+    _check_pendant_p3(g, path)
+    result, _ = g.delete_vertices(path.vertices)
     return result
 
 
@@ -332,16 +337,15 @@ def cycle_multiplicity_one(n: int) -> int:
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
     """Multiplicity of 1 via the reduction pipeline, with a replayable
     trace.  Rule order is fixed: pendant clustering, then pendant-P_3
-    deletion on tree components, then terminal rules per component.
+    deletion, then terminal rules per component.
 
-    Both rules delete as many edges as vertices and never disconnect, so
-    a component keeps the tree flag it is first found with.  Degrees only
-    fall, so a heap entry (attachment, middle, tip) that stops being a
-    pendant P_3 never becomes one again, and stale entries are dropped
-    when they reach the top.  `delete_vertices` keeps relative order, so
-    the least live entry is the lexicographically smallest pendant P_3
-    of the graph that rebuilding after every step would hold, and the
-    steps are the same."""
+    Degrees only fall, so a heap entry (attachment, middle, tip) that
+    stops being a pendant P_3 never becomes one again, and stale entries
+    are dropped when they reach the top.  `delete_vertices` keeps
+    relative order, so the least live entry is the lexicographically
+    smallest pendant P_3 of the graph that rebuilding after every step
+    would hold, and the steps are the same.  Neither rule disconnects a
+    component, so the components are labelled once, at the end."""
     n = g.n
     adj = list(map(set, map(g.neighbors, range(n))))
     alive = [True] * n
@@ -350,32 +354,11 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
         if len(adj[v]) == 1:
             pends.setdefault(next(iter(adj[v])), set()).add(v)
     crowded = {w for w, ps in pends.items() if len(ps) > 1}
-    comp = [-1] * n  # component index, set by the first search that meets v
-    tree: list[bool] = []
     heap: list[tuple[int, int, int]] = []
-
-    def label(s: int) -> None:
-        c = len(tree)
-        comp[s] = c
-        stack = [s]
-        size = degrees = 0
-        while stack:
-            v = stack.pop()
-            size += 1
-            degrees += len(adj[v])
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = c
-                    stack.append(w)
-        tree.append(degrees == 2 * size - 2)
 
     def push(tip: int) -> None:
         (b,) = adj[tip]
-        if len(adj[b]) != 2:
-            return
-        if comp[tip] < 0:
-            label(tip)
-        if tree[comp[tip]]:
+        if len(adj[b]) == 2:
             for a in adj[b]:
                 if a != tip and len(adj[a]) == 2:
                     heappush(heap, (a, b, tip))
@@ -441,18 +424,25 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
                                    *replay.record(vertices, n)))
         total += offset
 
-    # Components never split, so the final ones are those met so far,
-    # shrunk, in the order of their lowest vertex.
-    parts: dict[int, list[int]] = {}
+    # the components left, in the order of their lowest vertex
+    comp = [-1] * n
+    parts: list[list[int]] = []
     local = [0] * n
     for v in range(n):
-        if alive[v]:
-            if comp[v] < 0:
-                label(v)
-            vs = parts.setdefault(comp[v], [])
-            local[v] = len(vs)
-            vs.append(v)
-    for vs in parts.values():
+        if not alive[v]:
+            continue
+        if comp[v] < 0:
+            comp[v], stack = len(parts), [v]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if comp[w] < 0:
+                        comp[w] = len(parts)
+                        stack.append(w)
+            parts.append([])
+        vs = parts[comp[v]]
+        local[v] = len(vs)
+        vs.append(v)
+    for vs in parts:
         if not steps and len(parts) == 1:
             sub = g
         else:

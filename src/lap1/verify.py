@@ -18,10 +18,9 @@ and the checks are module-level.
 The three routes run once per checked graph, memoised by its labelled
 graph6 (never a `Graph`) so that suites sharing a graph share its answers.
 Every other m_L(1) comes from leaf peeling, unmemoised: that of each graph
-a check derives (the reduced graph, G - e, the lemmas' transformations)
-and of the star-like trees.  Derived graphs are many, and holding their
-answers for the life of the process would cost more memory than
-recomputing the repeats costs time.
+a check derives (the reduced graph, G - e, the lemmas' transformations).
+Derived graphs are many, and holding their answers for the life of the
+process would cost more memory than recomputing the repeats costs time.
 """
 
 from __future__ import annotations
@@ -272,14 +271,15 @@ def _check_lemmas(g: Graph, g6: str, me: int) -> list[dict]:
                     expected = f"integer eigenvalue {lam} divides n with mult 1"
                     actual = f"n={g.n} mult={mult}"
                     viol.append(_violation(g6, expected, actual, "gms"))
-        for path in find_pendant_paths(g, 3):
-            md = multiplicity_one_by_peeling(delete_pendant_P3(g, path))
-            if md != me:
-                viol.append(_violation(g6, me, md, "path3"))
         for path in find_internal_paths(g, 5):
             md = multiplicity_one_by_peeling(contract_tree_P5(g, path))
             if md != me:
                 viol.append(_violation(g6, me, md, "innerpathcorol"))
+
+    for path in find_pendant_paths(g, 3):
+        md = multiplicity_one_by_peeling(delete_pendant_P3(g, path))
+        if md != me:
+            viol.append(_violation(g6, me, md, "path3"))
 
     for u in prof.pendants:
         v = prof.pendant_owner[u]
@@ -360,22 +360,19 @@ def _thm3_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
 
 def _lemmas_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
     """Star-like and double star-like trees have m = 0, and cycles
-    C_3..C_30 follow the closed form."""
+    C_3..C_30 follow the closed form; each also gets the three routes."""
+    cases = [(star_like_tree(s), 0, "starlike") for s in range(2, 7)]
+    cases += [(double_star_like_tree(s, t), 0, "starlike")
+              for s in range(2, 7) for t in range(s, 7)]
+    cases += [(cycle_graph(n), cycle_multiplicity_one(n), "cycle-closed-form")
+              for n in range(3, 31)]
     viol = []
-    trees = [star_like_tree(s) for s in range(2, 7)]
-    trees += [double_star_like_tree(s, t) for s in range(2, 7) for t in range(s, 7)]
-    for t in trees:
-        m = multiplicity_one_by_peeling(t)
-        if m != 0:
-            viol.append(_violation(to_graph6(t), 0, m, "starlike"))
-    cycles = range(3, 31)
-    for n in cycles:
-        want = cycle_multiplicity_one(n)
-        g6, _, got, cross = _check_graph(None, cycle_graph(n))
+    for g, want, rule in cases:
+        g6, _, got, cross = _check_graph(None, g)
         viol += cross
         if got != want:
-            viol.append(_violation(g6, want, got, "cycle-closed-form"))
-    return len(trees) + len(cycles), viol
+            viol.append(_violation(g6, want, got, rule))
+    return len(cases), viol
 
 
 # -- the suite table and its engine -----------------------------------------

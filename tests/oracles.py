@@ -363,9 +363,9 @@ def _surplus_pendants(adj: list[set[int]], alive: set[int]) -> list[int]:
     return sorted(v for pends in by_owner.values() for v in pends[1:])
 
 
-def _is_tree_pendant_p3(adj: list[set[int]], vs: set[int]) -> bool:
+def _is_pendant_p3(adj: list[set[int]], vs: set[int]) -> bool:
     """vs is {tip, middle, attachment}: a leaf, its degree-2 neighbour and
-    that one's other neighbour, of degree 2 too, in a tree component."""
+    that one's other neighbour, of degree 2 too."""
     for tip in vs:
         if len(adj[tip]) != 1:
             continue
@@ -373,7 +373,7 @@ def _is_tree_pendant_p3(adj: list[set[int]], vs: set[int]) -> bool:
         if mid in vs and len(adj[mid]) == 2:
             (att,) = adj[mid] - {tip}
             if vs == {tip, mid, att} and len(adj[att]) == 2:
-                return _is_tree(adj, _component(adj, tip))
+                return True
     return False
 
 
@@ -416,12 +416,12 @@ def trace_faults(trace: dict) -> list[str]:
     {rule, vertices, offset} per step, then the total) on plain adjacency
     sets, and returns what is wrong with it: a PendantCluster step that
     deletes other than each owner's pendants but the lowest, a
-    DeletePendantP3 step that deletes no pendant P_3 of a tree component
-    or runs while pendants are in surplus, terminal steps that do not
-    follow the components of what is left (in the order of their lowest
-    vertex) or start while a rewrite still applies, a terminal rule that
-    does not match its component's shape, an offset that is not the
-    nullity of L - I, and a wrong total."""
+    DeletePendantP3 step that deletes no pendant P_3 or runs while
+    pendants are in surplus, terminal steps that do not follow the
+    components of what is left (in the order of their lowest vertex) or
+    start while a rewrite still applies, a terminal rule that does not
+    match its component's shape, an offset that is not the nullity of
+    L - I, and a wrong total."""
     head, *lines = trace["input_edge_list"].splitlines()
     n, m = map(int, head.split())
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -442,8 +442,8 @@ def trace_faults(trace: dict) -> list[str]:
         if step["rule"] == "PendantCluster":
             if not surplus or vs != surplus or step["offset"] != len(vs):
                 faults.append(f"step {i}: {vs} are not the surplus pendants {surplus}")
-        elif surplus or step["offset"] or not _is_tree_pendant_p3(adj, set(vs)):
-            faults.append(f"step {i}: {vs} is no pendant P_3 of a tree component")
+        elif surplus or step["offset"] or not _is_pendant_p3(adj, set(vs)):
+            faults.append(f"step {i}: {vs} is no pendant P_3")
         if len(set(vs)) != len(vs) or not alive.issuperset(vs):
             return faults + [f"step {i}: {vs} are not distinct live vertices"]
         alive.difference_update(vs)
@@ -452,7 +452,7 @@ def trace_faults(trace: dict) -> list[str]:
                 adj[w].discard(v)
             adj[v] = set()
     if _surplus_pendants(adj, alive) or any(
-            _is_tree_pendant_p3(adj, {tip, mid, att})
+            _is_pendant_p3(adj, {tip, mid, att})
             for tip in alive if len(adj[tip]) == 1
             for mid in adj[tip] for att in adj[mid] - {tip}):
         faults.append("the terminal rules start while a rewrite applies")

@@ -48,7 +48,7 @@ from lap1.extremal import extremal_tree, extremal_unicyclic
 from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
 from families import caterpillar, induced, prufer_tree, relabelled, sun
 from fixtures import TRACES
-from oracles import trace_faults
+from oracles import fraction_rank, laplacian_matrix, trace_faults
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -280,11 +280,45 @@ class TestDeletePendantP3:
         assert iso(t, path_graph(5))
         assert m1(sp) == m1(t) == 0
 
-    def test_rejects_non_tree(self):
+    def test_triangle_with_a_pendant_p3(self):
+        # the rule holds on any graph: the path goes and a triangle is left
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5)])
-        path = find_pendant_paths(g, 3)[0]
-        with pytest.raises(ValueError, match="tree"):
-            delete_pendant_P3(g, path)
+        (path,) = find_pendant_paths(g, 3)
+        h = delete_pendant_P3(g, path)
+        assert h == cycle_graph(3)
+        assert m1(h) == m1(g) == 0
+
+    def test_preserves_the_oracle_nullity_off_trees(self):
+        # every unicyclic graph of order <= 11 and seeded random graphs
+        # with a P_3 hung on them: each deletion keeps the nullity of
+        # L - I by Fraction elimination, and the fast route's traces
+        # replay clean
+        def nullity(g: Graph) -> int:
+            rows = laplacian_matrix(g.n, g.edges)
+            for i, row in enumerate(rows):
+                row[i] -= 1
+            return g.n - fraction_rank(rows)
+
+        rng = random.Random(28)
+        graphs = [g for n in range(3, 12) for g in unicyclic_graphs(n)]
+        for _ in range(1200):
+            h = random_connected_graph(rng.randint(1, 8),
+                                       Fraction(rng.randint(1, 3), 4),
+                                       rng.randrange(2**32))
+            x = rng.randrange(h.n)
+            graphs.append(Graph(h.n + 3, [*h.edges, (x, h.n),
+                                          (h.n, h.n + 1), (h.n + 1, h.n + 2)]))
+        deletions = 0
+        for g in graphs:
+            paths = find_pendant_paths(g, 3)
+            if not paths:
+                continue
+            m = nullity(g)
+            for path in paths:
+                assert nullity(delete_pendant_P3(g, path)) == m, to_graph6(g)
+            deletions += len(paths)
+            assert trace_faults(multiplicity_fast(g)[1].to_json()) == [], to_graph6(g)
+        assert deletions >= 2000
 
     def test_rejects_bogus_path(self):
         from lap1.graphs import PathLocation, PENDANT_PATH
@@ -463,10 +497,11 @@ class TestMultiplicityFast:
             assert trace.steps[-1].rule == "ExactRankFallback"
 
     def test_fallback_ranks_only_the_core(self, monkeypatch):
-        # a 5-cycle with a chord and a pendant path: the path is peeled and
-        # one rank call sees the 5 core vertices
-        g = Graph(8, [(i, (i + 1) % 5) for i in range(5)]
-                  + [(0, 2), (4, 5), (5, 6), (6, 7)])
+        # a 5-cycle with a chord and a pendant P_2, which no rewrite
+        # deletes: the P_2 is peeled and one rank call sees the 5 core
+        # vertices
+        g = Graph(7, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(0, 2), (4, 5), (5, 6)])
         expected = m1(g)
         orders = []
         real_rank = linalg.rank
@@ -678,12 +713,7 @@ class TestMultiplicityFast:
 def reference_trace(g: Graph) -> dict:
     """The pipeline as first written, from public operations only: it
     rebuilds and labels the graph after every step, and deletes the
-    lexicographically smallest pendant P_3 lying in a tree component."""
-
-    def in_tree(h: Graph, v: int) -> bool:
-        comp = next(c for c in h.components() if v in c)
-        return induced(h, comp).is_tree()
-
+    lexicographically smallest pendant P_3."""
     steps, total, cur = [], 0, g
     while True:
         prof = pendant_profile(cur)
@@ -691,10 +721,10 @@ def reference_trace(g: Graph) -> dict:
             rule = "PendantCluster"
             nxt, offset = reduced_graph(cur)
         else:
-            path = next((p for p in find_pendant_paths(cur, 3)
-                         if in_tree(cur, p.vertices[0])), None)
-            if path is None:
+            paths = find_pendant_paths(cur, 3)
+            if not paths:
                 break
+            path = paths[0]
             rule = "DeletePendantP3"
             nxt, offset = cur.delete_vertices(path.vertices)[0], 0
         steps.append({"rule": rule, "before_g6": to_graph6(cur),

@@ -257,7 +257,7 @@ class TestSuites:
                      {"cross-oracle": 650, "thm3-bound": 1,
                       "thm3-extremal": 1}, id="thm3"),
         pytest.param(verify_lemmas, dict(max_n=6), 83,
-                     {"cross-oracle": 31, "cycle-closed-form": 10, "eq2": 21,
+                     {"cross-oracle": 37, "cycle-closed-form": 10, "eq2": 21,
                       "eqlemma": 7, "mainlemma": 102, "reduction-op": 37,
                       "starlike": 6}, id="lemmas"),
     ])
@@ -750,6 +750,33 @@ class TestCli:
         assert report["suite"] == "thm2" and report["graphs_checked"] == 7
         err = capsys.readouterr().err
         assert "suite thm2" in err
+
+    def test_unwritable_json_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        for argv in (["mult", "--g6", "Bw"], ["verify", "thm2", "--max-n", "6"]):
+            assert cli.main([*argv, "--json-out", str(target)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err, argv
+            assert f"error: cannot write {target}" in captured.err, argv
+
+    def test_file_not_in_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"B\xffw\n")
+        assert cli.main(["mult", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"error: cannot read {path}" in captured.err
+
+    def test_reduce_summary_names_orders_not_graphs(self, tmp_path, capsys):
+        # the order-4,006 caterpillar and its final graph are 4.5 MB of
+        # graph6 on stdout; stderr gives their orders
+        path = tmp_path / "caterpillar.txt"
+        path.write_text(write_edge_list(caterpillar(1000)))
+        argv = ["reduce", "--file", str(path), "--to", "final"]
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert err == "n=4006 -> n=6008 offset=0 steps=1001\n"
 
     def test_calls_in_one_process_behave_as_in_fresh_ones(self, capsys):
         # the parser is built once per process: neither a usage error nor
