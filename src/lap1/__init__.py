@@ -34,9 +34,7 @@ from .graphs import (
     find_pendant_paths,
     from_edge_list,
     in_class_G,
-    is_double_star_like,
     is_reduced,
-    is_star_like,
     line_graph,
     path_graph,
     pendant_profile,

@@ -224,6 +224,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
     for suite in SUITES if args.suite == "all" else (args.suite,):
         _check_cap(suite_max_n(suite, args.max_n))
+    # fail before the sweep, not after it, if the report has nowhere to go
+    folder = args.json_out and Path(args.json_out).parent
+    if folder and not (folder.is_dir() and os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write {args.json_out}: {folder} is not a"
+                         " writable directory")
     reports = run_suite(
         args.suite,
         max_n=args.max_n,

@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs and the structural queries used by
 the multiplicity calculus: pendant census, pendant and internal paths,
-star-like shapes, line graphs, class membership."""
+line graphs, class membership."""
 
 from __future__ import annotations
 
@@ -361,36 +361,3 @@ def find_internal_paths(g: Graph, k: int) -> list[PathLocation]:
     for s in range(g.n):
         extend([s])
     return [PathLocation(p, INTERNAL_PATH) for p in sorted(found)]
-
-
-# -- star-like shapes ------------------------------------------------------
-
-def _centers(g: Graph) -> list[int]:
-    """The vertices of a tree left after removing every pendant and its
-    owner: [] unless g is a tree, p = q and every quasi-pendant has
-    degree 2.  Each leg is then a P_2, and but for P_4 each owner's other
-    neighbour is a center.  Connectivity, the dearest test, goes last."""
-    if g.edge_count != g.n - 1:
-        return []
-    prof = pendant_profile(g)
-    if (prof.p != prof.q or any(g.degree(v) != 2 for v in prof.quasi_pendants)
-            or not g.is_connected()):
-        return []
-    legs = set(prof.pendants).union(prof.quasi_pendants)
-    return [v for v in range(g.n) if v not in legs]
-
-
-def is_star_like(g: Graph) -> bool:
-    """Tree on >= 5 vertices with a center whose removal leaves only P_2
-    components."""
-    return g.n >= 5 and g.n % 2 == 1 and len(_centers(g)) == 1
-
-
-def is_double_star_like(g: Graph) -> bool:
-    """Two star-like trees joined by one edge between their centers.  Two
-    centers of degree >= 3 are adjacent, since an owner of degree 2 cannot
-    join them."""
-    if g.n < 10 or g.n % 2:
-        return False
-    centers = _centers(g)
-    return len(centers) == 2 and all(g.degree(c) >= 3 for c in centers)

@@ -9,10 +9,9 @@ Laplacian eigenvalue 1:
                      on every other former neighbor; preserving for
                      neighbor degree >= 3
 * DeletePendantP3    drop a pendant P_3; preserving
-* terminal rules     StarLikeZero / DoubleStarLikeZero (multiplicity 0),
-                     CycleClosedForm (2 if 6 | n else 0),
-                     ExactRankFallback (leaf elimination, then the
-                     exact rank of the residual core)
+* ExactRankFallback  the one terminal rule, per component left: leaf
+                     elimination, then the exact rank of the residual
+                     core
 
 Three more operations, which the lemmas suite checks and no trace
 records:
@@ -32,11 +31,12 @@ their neighbours, so a run is O((n + m) log n).
 
 A trace records what each step did, not the graphs: a rewrite the sorted
 input labels it deleted, a ReductionOperation its pendant and neighbour
-in the labels of the graph before it, a terminal rule its component's
-input labels and its residual.  `lap1 mult` and `lap1 reduce` write it
-as the input's edge list, then {rule, vertices, offset} per step and the
-total, all O(n + m).  `_Replay`, the one maker of step graphs, rebuilds
-a step's `before` and `after` on each read; nothing here labels a graph.
+in the labels of the graph before it, an ExactRankFallback its
+component's input labels and its residual.  `lap1 mult` and `lap1
+reduce` write it as the input's edge list, then {rule, vertices,
+offset} per step and the total, all O(n + m).  `_Replay`, the one maker
+of step graphs, rebuilds a step's `before` and `after` on each read;
+nothing here labels a graph.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .graphs import (
     PENDANT_PATH,
     INTERNAL_PATH,
     find_pendant_paths,
-    is_double_star_like,
-    is_star_like,
     pendant_profile,
 )
 from .linalg import multiplicity_one_by_peeling
@@ -64,9 +62,6 @@ from .linalg import multiplicity_one_by_peeling
 PENDANT_CLUSTER = "PendantCluster"
 REDUCTION_OPERATION = "ReductionOperation"
 DELETE_PENDANT_P3 = "DeletePendantP3"
-STAR_LIKE_ZERO = "StarLikeZero"
-DOUBLE_STAR_LIKE_ZERO = "DoubleStarLikeZero"
-CYCLE_CLOSED_FORM = "CycleClosedForm"
 EXACT_RANK_FALLBACK = "ExactRankFallback"
 
 
@@ -75,10 +70,11 @@ class ReductionStep:
     """One rule application: its rule, the vertices it names and its
     offset to the multiplicity.  A clustering or P_3 step names the
     input labels it deleted, sorted, a ReductionOperation its pendant and
-    that pendant's neighbour in the labels of its `before`, and a terminal
-    rule the input labels of its component, with the residual as its
-    offset.  `before` and `after` are the graph6 of the graph before and
-    after the step, which `_Replay` rebuilds on every read, never kept."""
+    that pendant's neighbour in the labels of its `before`, and an
+    ExactRankFallback the input labels of its component, with the
+    residual as its offset.  `before` and `after` are the graph6 of the
+    graph before and after the step, which `_Replay` rebuilds on every
+    read, never kept."""
 
     rule: str
     vertices: tuple[int, ...]
@@ -320,12 +316,6 @@ def contract_tree_P5(t: Graph, path: PathLocation) -> Graph:
     return h.add_edge(remap[u1], remap[u5])
 
 
-# -- fast pipeline ---------------------------------------------------------
-
-def _is_bare_cycle(g: Graph) -> bool:
-    return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)) and g.is_connected()
-
-
 def cycle_multiplicity_one(n: int) -> int:
     """Closed form for cycles: the Laplacian eigenvalues of C_n are
     2 - 2cos(2 pi j / n), which hit 1 exactly at j = n/6 and j = 5n/6."""
@@ -334,10 +324,13 @@ def cycle_multiplicity_one(n: int) -> int:
     return 2 if n % 6 == 0 else 0
 
 
+# -- fast pipeline ---------------------------------------------------------
+
 def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
     """Multiplicity of 1 via the reduction pipeline, with a replayable
     trace.  Rule order is fixed: pendant clustering, then pendant-P_3
-    deletion, then terminal rules per component.
+    deletion, then ExactRankFallback on each component left: leaf
+    elimination on L - I, then the rank of any core.
 
     Degrees only fall, so a heap entry (attachment, middle, tip) that
     stops being a pendant P_3 never becomes one again, and stale entries
@@ -448,16 +441,10 @@ def multiplicity_fast(g: Graph) -> tuple[int, ReductionTrace]:
         else:
             sub = Graph._unchecked(len(vs), [
                 (local[v], local[w]) for v in vs for w in adj[v] if v < w])
-        if is_star_like(sub):
-            rule, residual = STAR_LIKE_ZERO, 0
-        elif is_double_star_like(sub):
-            rule, residual = DOUBLE_STAR_LIKE_ZERO, 0
-        elif _is_bare_cycle(sub):
-            rule, residual = CYCLE_CLOSED_FORM, cycle_multiplicity_one(sub.n)
-        else:
-            rule, residual = EXACT_RANK_FALLBACK, multiplicity_one_by_peeling(sub)
+        residual = multiplicity_one_by_peeling(sub)
         vertices = tuple(vs)
         form = partial(replay.component_form, vertices)
-        steps.append(ReductionStep(rule, vertices, residual, form, form))
+        steps.append(ReductionStep(EXACT_RANK_FALLBACK, vertices, residual,
+                                   form, form))
         total += residual
     return total, ReductionTrace(g, tuple(steps), total)

@@ -191,13 +191,13 @@ TRACES = [
     ('spider(3,3,2,1,1)', 'J??TWb?A?C?',
      '{"input_g6": "J??TWb?A?C?", "steps": [{"after_g6": "Ip_GK?@?G", "before_g6": "JsE?GE??G?_", "offset": 1, "rule": "PendantCluster"}, {"after_g6": "Fp_GG", "before_g6": "Ip_GK?@?G", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "Cp", "before_g6": "Fp_GG", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "@", "before_g6": "Cp", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "@", "before_g6": "@", "offset": 0, "rule": "ExactRankFallback"}], "total": 1}'),
     ('spider(2,2,2)', 'FkGAG',
-     '{"input_g6": "FkGAG", "steps": [{"after_g6": "FkE?G", "before_g6": "FkE?G", "offset": 0, "rule": "StarLikeZero"}], "total": 0}'),
+     '{"input_g6": "FkGAG", "steps": [{"after_g6": "FkE?G", "before_g6": "FkE?G", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
     ('double-star-like(2,3)', 'KCC@?cGOOgO?',
-     '{"input_g6": "KCC@?cGOOgO?", "steps": [{"after_g6": "KkE?GCC?GG?@", "before_g6": "KkE?GCC?GG?@", "offset": 0, "rule": "DoubleStarLikeZero"}], "total": 0}'),
+     '{"input_g6": "KCC@?cGOOgO?", "steps": [{"after_g6": "KkE?GCC?GG?@", "before_g6": "KkE?GCC?GG?@", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
     ('C12', 'K_A?Q?gD@AAO',
-     '{"input_g6": "K_A?Q?gD@AAO", "steps": [{"after_g6": "KhCGGC@?G?o@", "before_g6": "KhCGGC@?G?o@", "offset": 2, "rule": "CycleClosedForm"}], "total": 2}'),
+     '{"input_g6": "K_A?Q?gD@AAO", "steps": [{"after_g6": "KhCGGC@?G?o@", "before_g6": "KhCGGC@?G?o@", "offset": 2, "rule": "ExactRankFallback"}], "total": 2}'),
     ('C9', 'HGGSIaG',
-     '{"input_g6": "HGGSIaG", "steps": [{"after_g6": "HhCGGE@", "before_g6": "HhCGGE@", "offset": 0, "rule": "CycleClosedForm"}], "total": 0}'),
+     '{"input_g6": "HGGSIaG", "steps": [{"after_g6": "HhCGGE@", "before_g6": "HhCGGE@", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
     ('caterpillar(2)', 'MA@_GC?A???LcC?G?',
      '{"input_g6": "MA@_GC?A???LcC?G?", "steps": [{"after_g6": "MpCGOE??G?_@?A??_", "before_g6": "MpCGOE??G?_@?A??_", "offset": 2, "rule": "ExactRankFallback"}], "total": 2}'),
     ('sun(3)', 'KK@?KQ?A_?i?',
@@ -221,9 +221,9 @@ TRACES = [
     ('gnp(12,1/4)', 'Kh?gAOABCI@?',
      '{"input_g6": "Kh?gAOABCI@?", "steps": [{"after_g6": "I??WqCdiG", "before_g6": "I??WqCdiG", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "A_", "before_g6": "A_", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
     ('C6+P6+star3+spider(2,2,2)', 'V?_I?????G???C???O@?O?G?P??_A?AA?A???@??@g??',
-     '{"input_g6": "V?_I?????G???C???O@?O?G?P??_A?AA?A???@??@g??", "steps": [{"after_g6": "T`C_GC??G?_@?@?G_???@??C??_??G?@???@", "before_g6": "Vs?GGO@?G??@?@??_?G?P?????G??G??O??@??A????_", "offset": 2, "rule": "PendantCluster"}, {"after_g6": "Q`G?GC@?GG_??@??_?_?@?@???G", "before_g6": "T`C_GC??G?_@?@?G_???@??C??_??G?@???@", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "P`?GGC@AG??@?@?A??G?O??C", "before_g6": "Q`G?GC@?GG_??@??_?_?@?@???G", "offset": 1, "rule": "PendantCluster"}, {"after_g6": "A_", "before_g6": "A_", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "A_", "before_g6": "A_", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "EhEG", "before_g6": "EhEG", "offset": 2, "rule": "CycleClosedForm"}, {"after_g6": "FkE?G", "before_g6": "FkE?G", "offset": 0, "rule": "StarLikeZero"}], "total": 5}'),
+     '{"input_g6": "V?_I?????G???C???O@?O?G?P??_A?AA?A???@??@g??", "steps": [{"after_g6": "T`C_GC??G?_@?@?G_???@??C??_??G?@???@", "before_g6": "Vs?GGO@?G??@?@??_?G?P?????G??G??O??@??A????_", "offset": 2, "rule": "PendantCluster"}, {"after_g6": "Q`G?GC@?GG_??@??_?_?@?@???G", "before_g6": "T`C_GC??G?_@?@?G_???@??C??_??G?@???@", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "P`?GGC@AG??@?@?A??G?O??C", "before_g6": "Q`G?GC@?GG_??@??_?_?@?@???G", "offset": 1, "rule": "PendantCluster"}, {"after_g6": "A_", "before_g6": "A_", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "A_", "before_g6": "A_", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "EhEG", "before_g6": "EhEG", "offset": 2, "rule": "ExactRankFallback"}, {"after_g6": "FkE?G", "before_g6": "FkE?G", "offset": 0, "rule": "ExactRankFallback"}], "total": 5}'),
     ('C7+double-star-like(2,2)+K1', 'QAA??OCG???@_??Q?C??GDC?G?O',
-     '{"input_g6": "QAA??OCG???@_??Q?C??GDC?G?O", "steps": [{"after_g6": "IkE?GCC?G", "before_g6": "IkE?GCC?G", "offset": 0, "rule": "DoubleStarLikeZero"}, {"after_g6": "FhCKG", "before_g6": "FhCKG", "offset": 0, "rule": "CycleClosedForm"}, {"after_g6": "@", "before_g6": "@", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
+     '{"input_g6": "QAA??OCG???@_??Q?C??GDC?G?O", "steps": [{"after_g6": "IkE?GCC?G", "before_g6": "IkE?GCC?G", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "FhCKG", "before_g6": "FhCKG", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "@", "before_g6": "@", "offset": 0, "rule": "ExactRankFallback"}], "total": 0}'),
     ('spider(3,2,2,1)+sun(2)', 'P?@?@WGO??A??a??aO?_O_O?',
      '{"input_g6": "P?@?@WGO??A??a??aO?_O_O?", "steps": [{"after_g6": "Mp_G?C@?G@?@?`??_", "before_g6": "PhGKGC??G@?@?G??_C??@??C", "offset": 0, "rule": "DeletePendantP3"}, {"after_g6": "Ep_G", "before_g6": "Ep_G", "offset": 0, "rule": "ExactRankFallback"}, {"after_g6": "GhGKGC", "before_g6": "GhGKGC", "offset": 2, "rule": "ExactRankFallback"}], "total": 2}'),
 ]

@@ -350,10 +350,6 @@ def _component(adj: list[set[int]], s: int) -> set[int]:
     return seen
 
 
-def _is_tree(adj: list[set[int]], comp: set[int]) -> bool:
-    return sum(len(adj[v]) for v in comp) == 2 * len(comp) - 2
-
-
 def _surplus_pendants(adj: list[set[int]], alive: set[int]) -> list[int]:
     """Each owner's pendants but its lowest, sorted."""
     by_owner = defaultdict(list)
@@ -377,33 +373,6 @@ def _is_pendant_p3(adj: list[set[int]], vs: set[int]) -> bool:
     return False
 
 
-def _legs_of_two(adj: list[set[int]], centre: int, skip: int) -> int:
-    """The number of legs of two vertices hanging from centre, not counting
-    skip, or -1 if some other neighbour does not start such a leg."""
-    legs = [w for w in adj[centre] if w != skip]
-    for w in legs:
-        if len(adj[w]) != 2 or any(len(adj[x]) != 1 for x in adj[w] - {centre}):
-            return -1
-    return len(legs)
-
-
-def _terminal_rule(adj: list[set[int]], comp: set[int]) -> str:
-    n = len(comp)
-    if _is_tree(adj, comp):
-        # star-like: s >= 2 legs of two on one centre; double star-like:
-        # two adjacent centres with s, t >= 2 such legs each
-        if any(2 * _legs_of_two(adj, c, -1) + 1 == n >= 5 for c in comp):
-            return "StarLikeZero"
-        for u in comp:
-            for v in adj[u]:
-                s, t = _legs_of_two(adj, u, v), _legs_of_two(adj, v, u)
-                if s >= 2 and t >= 2 and 2 * (s + t) + 2 == n:
-                    return "DoubleStarLikeZero"
-    if n >= 3 and all(len(adj[v]) == 2 for v in comp):
-        return "CycleClosedForm"
-    return "ExactRankFallback"
-
-
 def _nullity_of_l_minus_i(adj: list[set[int]], comp: set[int]) -> int:
     order = sorted(comp)
     rows = [[(len(adj[u]) - 1 if u == v else -(v in adj[u])) for v in order]
@@ -419,9 +388,9 @@ def trace_faults(trace: dict) -> list[str]:
     DeletePendantP3 step that deletes no pendant P_3 or runs while
     pendants are in surplus, terminal steps that do not follow the
     components of what is left (in the order of their lowest vertex) or
-    start while a rewrite still applies, a terminal rule that does not
-    match its component's shape, an offset that is not the nullity of
-    L - I, and a wrong total."""
+    start while a rewrite still applies, a terminal rule other than
+    ExactRankFallback, an offset that is not the nullity of L - I, and a
+    wrong total."""
     head, *lines = trace["input_edge_list"].splitlines()
     n, m = map(int, head.split())
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -464,11 +433,11 @@ def trace_faults(trace: dict) -> list[str]:
     if [sorted(c) for c in comps] != [s["vertices"] for s in terminals]:
         return faults + ["the terminal steps are not the components left"]
     for step, comp in zip(terminals, comps):
-        rule = _terminal_rule(adj, comp)
         nullity = _nullity_of_l_minus_i(adj, comp)
-        if (step["rule"], step["offset"]) != (rule, nullity):
+        if (step["rule"], step["offset"]) != ("ExactRankFallback", nullity):
             faults.append(f"component {step['vertices']}: {step['rule']} with"
-                          f" offset {step['offset']}, want {rule} with {nullity}")
+                          f" offset {step['offset']}, want ExactRankFallback"
+                          f" with {nullity}")
     if trace["total"] != sum(s["offset"] for s in steps):
         faults.append(f"total {trace['total']} is not the sum of the offsets")
     return faults

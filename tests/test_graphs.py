@@ -1,9 +1,8 @@
-"""Graph construction, structural queries, paths, and shape predicates."""
+"""Graph construction, structural queries, paths, and class predicates."""
 
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,24 +13,18 @@ from lap1.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    double_star_like_tree,
     find_internal_paths,
     find_pendant_paths,
     from_edge_list,
     in_class_G,
-    is_double_star_like,
     is_reduced,
-    is_star_like,
     line_graph,
     path_graph,
     pendant_profile,
     spider,
     star_graph,
-    star_like_tree,
 )
-from lap1.enumeration import free_trees, unicyclic_graphs
 from lap1.graph6 import parse_graph6, to_graph6
-import oracles
 from families import degree_sequence, is_unicyclic
 
 
@@ -227,39 +220,6 @@ class TestPaths:
 
 
 class TestShapePredicates:
-    def test_star_like(self):
-        assert is_star_like(path_graph(5))
-        assert is_star_like(spider([2, 2, 2]))
-        assert is_star_like(star_like_tree(6))
-        assert not is_star_like(spider([2, 2, 1]))
-        assert not is_star_like(path_graph(3))
-        assert not is_star_like(cycle_graph(5))
-
-    def test_double_star_like(self):
-        assert is_double_star_like(double_star_like_tree(2, 2))
-        assert is_double_star_like(double_star_like_tree(3, 3))  # n = 14
-        assert not is_double_star_like(spider([2, 2, 2]))
-        assert not is_double_star_like(path_graph(10))
-
-    def test_shapes_agree_with_the_oracle(self):
-        # the pipeline's two star-like terminal rules, as the oracle reads
-        # them on plain adjacency sets, over every small tree and
-        # unicyclic graph and the constructors
-        graphs = [g for n in range(1, 15) for g in free_trees(n)]
-        graphs += [g for n in range(3, 12) for g in unicyclic_graphs(n)]
-        graphs += [star_like_tree(s) for s in range(2, 9)]
-        graphs += [double_star_like_tree(s, t)
-                   for s in range(2, 9) for t in range(2, 9)]
-        hits = Counter()
-        for g in graphs:
-            adj = [set(g.neighbors(v)) for v in range(g.n)]
-            rule = oracles._terminal_rule(adj, set(range(g.n)))
-            got = (is_star_like(g), is_double_star_like(g))
-            assert got == (rule == "StarLikeZero",
-                           rule == "DoubleStarLikeZero"), to_graph6(g)
-            hits[rule] += 1
-        assert (hits["StarLikeZero"], hits["DoubleStarLikeZero"]) == (12, 53)
-
     def test_structure_predicates(self):
         assert path_graph(6).is_tree()
         sun = Graph(12, [(i, (i + 1) % 9) for i in range(9)]

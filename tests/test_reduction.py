@@ -24,8 +24,6 @@ from lap1.graphs import (
     double_star_like_tree,
     find_internal_paths,
     find_pendant_paths,
-    is_double_star_like,
-    is_star_like,
     path_graph,
     pendant_profile,
     spider,
@@ -455,16 +453,21 @@ class TestMultiplicityFast:
         assert trace.steps[1].before == to_graph6(path_graph(2))
 
     def test_cycle_closed_form_rule(self):
-        m, trace = multiplicity_fast(cycle_graph(12))
-        assert m == 2 and [s.rule for s in trace.steps] == ["CycleClosedForm"]
-        m, trace = multiplicity_fast(cycle_graph(9))
-        assert m == 0 and [s.rule for s in trace.steps] == ["CycleClosedForm"]
+        # no rule of its own: the one terminal step agrees with the
+        # closed form
+        for n, want in ((12, 2), (9, 0)):
+            m, trace = multiplicity_fast(cycle_graph(n))
+            assert m == want == cycle_multiplicity_one(n)
+            assert [(s.rule, s.offset) for s in trace.steps] == [
+                ("ExactRankFallback", want)]
 
     def test_star_like_rules(self):
-        m, trace = multiplicity_fast(spider([2, 2, 2]))
-        assert m == 0 and [s.rule for s in trace.steps] == ["StarLikeZero"]
-        m, trace = multiplicity_fast(double_star_like_tree(2, 2))
-        assert m == 0 and [s.rule for s in trace.steps] == ["DoubleStarLikeZero"]
+        # m = 0 for both shapes, found by the one terminal step
+        for g in (spider([2, 2, 2]), double_star_like_tree(2, 2)):
+            m, trace = multiplicity_fast(g)
+            assert m == 0
+            assert [(s.rule, s.offset) for s in trace.steps] == [
+                ("ExactRankFallback", 0)]
 
     def test_components_processed_independently(self):
         g = disjoint_union(cycle_graph(6), disjoint_union(path_graph(6), star_graph(3)))
@@ -580,35 +583,32 @@ class TestMultiplicityFast:
             assert multiplicity_fast(g)[0] == m1(g)
 
     def test_trace_replays(self):
-        g = spider([3, 3, 2, 1, 1])
-        m, trace = multiplicity_fast(g)
-        assert m == m1(g)
-        cur = g
-        si = 0
-        while si < len(trace.steps) and trace.steps[si].rule in (
-            "PendantCluster",
-            "DeletePendantP3",
-        ):
-            step = trace.steps[si]
-            assert to_graph6(cur) == step.before
-            if step.rule == "PendantCluster":
-                cur, offset = reduced_graph(cur)
-                assert offset == step.offset
-            else:
-                path = next(
-                    p
-                    for p in find_pendant_paths(cur, 3)
-                    if induced(cur, next(c for c in cur.components()
-                                         if p.vertices[0] in c)).is_tree()
-                )
-                cur = cur.delete_vertices(path.vertices)[0]
-            assert to_graph6(cur) == step.after
-            si += 1
-        terminal_forms = sorted(s.before for s in trace.steps[si:])
-        comp_forms = sorted(
-            to_graph6(induced(cur, comp)) for comp in cur.components()
-        )
-        assert terminal_forms == comp_forms
+        # a tree, and a triangle with a pendant P_3 that is deleted
+        for g in (spider([3, 3, 2, 1, 1]), parse_graph6("E{CG")):
+            m, trace = multiplicity_fast(g)
+            assert m == m1(g)
+            cur = g
+            si = 0
+            while si < len(trace.steps) and trace.steps[si].rule in (
+                "PendantCluster",
+                "DeletePendantP3",
+            ):
+                step = trace.steps[si]
+                assert to_graph6(cur) == step.before
+                if step.rule == "PendantCluster":
+                    cur, offset = reduced_graph(cur)
+                    assert offset == step.offset
+                else:
+                    path = find_pendant_paths(cur, 3)[0]
+                    cur = cur.delete_vertices(path.vertices)[0]
+                assert to_graph6(cur) == step.after
+                si += 1
+            assert "DeletePendantP3" in [s.rule for s in trace.steps[:si]]
+            terminal_forms = sorted(s.before for s in trace.steps[si:])
+            comp_forms = sorted(
+                to_graph6(induced(cur, comp)) for comp in cur.components()
+            )
+            assert terminal_forms == comp_forms
 
     def test_trace_reads_in_any_order_give_the_same_json(self):
         rng = random.Random(41)
@@ -686,16 +686,9 @@ class TestMultiplicityFast:
             total = 0
             cur = g
             while True:
-                path = None
-                if cur.is_tree() or all(
-                    len(comp) - 1
-                    == sum(1 for a, b in cur.edges if a in set(comp))
-                    for comp in cur.components()
-                ):
-                    paths = find_pendant_paths(cur, 3)
-                    path = paths[-1] if paths else None
-                if path is not None:
-                    cur = cur.delete_vertices(path.vertices)[0]
+                paths = find_pendant_paths(cur, 3)
+                if paths:
+                    cur = cur.delete_vertices(paths[-1].vertices)[0]
                     continue
                 prof = pendant_profile(cur)
                 if prof.p > prof.q:
@@ -708,6 +701,9 @@ class TestMultiplicityFast:
         for n in range(2, 9):
             for t in free_trees(n):
                 assert alt_pipeline(t) == multiplicity_fast(t)[0]
+        for n in range(3, 9):
+            for g in unicyclic_graphs(n):
+                assert alt_pipeline(g) == multiplicity_fast(g)[0]
 
 
 def reference_trace(g: Graph) -> dict:
@@ -733,17 +729,9 @@ def reference_trace(g: Graph) -> dict:
         cur = nxt
     for comp in cur.components():
         sub = induced(cur, comp)
-        if is_star_like(sub):
-            rule = "StarLikeZero"
-        elif is_double_star_like(sub):
-            rule = "DoubleStarLikeZero"
-        elif sub.n >= 3 and all(sub.degree(v) == 2 for v in range(sub.n)):
-            rule = "CycleClosedForm"
-        else:
-            rule = "ExactRankFallback"
         form = to_graph6(sub)
-        steps.append({"rule": rule, "before_g6": form, "after_g6": form,
-                      "offset": m1(sub)})
+        steps.append({"rule": "ExactRankFallback", "before_g6": form,
+                      "after_g6": form, "offset": m1(sub)})
         total += m1(sub)
     return {"input_g6": to_graph6(g), "steps": steps, "total": total}
 

@@ -751,13 +751,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "suite thm2" in err
 
-    def test_unwritable_json_out_is_a_usage_error(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "report.json"
-        for argv in (["mult", "--g6", "Bw"], ["verify", "thm2", "--max-n", "6"]):
-            assert cli.main([*argv, "--json-out", str(target)]) == 2, argv
-            captured = capsys.readouterr()
-            assert captured.out == "" and "Traceback" not in captured.err, argv
-            assert f"error: cannot write {target}" in captured.err, argv
+    def test_unwritable_json_out_is_a_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before the path was checked")
+
+        # verify checks the path before its suite runs
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        (tmp_path / "file").write_text("")
+        for target in (tmp_path / "missing" / "report.json",
+                       tmp_path / "file" / "report.json"):
+            for argv in (["mult", "--g6", "Bw"], ["verify", "all"]):
+                assert cli.main([*argv, "--json-out", str(target)]) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and "Traceback" not in captured.err, argv
+                assert f"error: cannot write {target}" in captured.err, argv
 
     def test_file_not_in_utf8_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
