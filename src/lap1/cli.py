@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import traceback
-from collections.abc import Callable
 from pathlib import Path
 
 from .enumeration import free_trees, unicyclic_graphs
@@ -27,7 +26,7 @@ from .graph6 import (
     read_edge_list,
     to_graph6,
 )
-from .graphs import Graph, find_pendant_paths, is_reduced, pendant_profile
+from .graphs import Graph, pendant_profile
 from .linalg import laplacian_multiplicity_one
 from .reduction import (
     ReductionTrace,
@@ -44,15 +43,12 @@ EXIT_INCONSISTENT = 3
 EXIT_INTERNAL = 4
 
 
-def _no_pendant_p3(g: Graph) -> bool:
-    return not find_pendant_paths(g, 3)
-
-
+# each --filter token names a rule of the family generators
 FILTER_ALIASES = {
-    "reduced": is_reduced,
-    "nop3": _no_pendant_p3,
-    "noP3": _no_pendant_p3,
-    "no-pendant-P3": _no_pendant_p3,
+    "reduced": "reduced",
+    "nop3": "no_p3",
+    "noP3": "no_p3",
+    "no-pendant-P3": "no_p3",
 }
 
 
@@ -176,27 +172,28 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_filters(raw: str | None) -> Callable[[Graph], bool]:
-    """The conjunction of the comma-listed filters; none keeps every graph."""
-    predicates = []
+def _parse_filters(raw: str | None) -> dict[str, bool]:
+    """The generator keywords of the comma-listed filters, each set."""
+    rules = {}
     for token in raw.split(",") if raw else ():
         token = token.strip()
         if token not in FILTER_ALIASES:
             raise UsageError(f"unknown filter {token!r}; known: reduced, noP3")
-        predicates.append(FILTER_ALIASES[token])
-    return lambda g: all(p(g) for p in predicates)
+        rules[FILTER_ALIASES[token]] = True
+    return rules
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    """Prints the canonical graph6 of each graph kept, sorted."""
+    """Prints the canonical graph6 of each graph of the family that obeys
+    the filters' rules, sorted.  Only those graphs are built."""
     _check_cap(args.n)
     generate = free_trees if args.cls == "tree" else unicyclic_graphs
+    rules = _parse_filters(args.filter)
     try:
-        graphs = generate(args.n)  # checks n; the graphs come as iterated
+        graphs = generate(args.n, **rules)  # checks n; the graphs come as iterated
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    keep = _parse_filters(args.filter)
-    lines = sorted(to_graph6(g) for g in graphs if keep(g))
+    lines = sorted(to_graph6(g) for g in graphs)
     for line in lines:
         print(line)
     print(f"{len(lines)} graphs", file=sys.stderr)

@@ -22,12 +22,11 @@ class Graph:
 
     A graph holds only n and its frozenset of edges until something reads
     more: the sorted neighbour tuples are built on the first `neighbors`,
-    `degree` or `components` call, and the hash on the first `__hash__`
-    call.  Most graphs a check derives are read as an edge set alone.  A
-    pickle carries n and the edges only.
+    `degree` or `components` call.  Most graphs a check derives are read
+    as an edge set alone.  A pickle carries n and the edges only.
     """
 
-    __slots__ = ("n", "edges", "_nbrs", "_hash")
+    __slots__ = ("n", "edges", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -45,7 +44,6 @@ class Graph:
         self.n = n
         self.edges = norm
         self._nbrs = None
-        self._hash = None
 
     @classmethod
     def _unchecked(cls, n: int, norm_edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -162,10 +160,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.n, self.edges))
-        return h
+        return hash((self.n, self.edges))
 
     def __reduce__(self):
         return Graph._unchecked, (self.n, self.edges)

@@ -38,8 +38,6 @@ from .canon import canonical_form
 from .enumeration import (
     MAX_TREE_N,
     MAX_UNICYCLIC_N,
-    _trees,
-    _unicyclic,
     free_trees,
     random_connected_graph,
     unicyclic_graphs,
@@ -208,12 +206,12 @@ def _thm1_graphs(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
 
 def _class_T(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
     return (t for n in range(6, min(max_n, MAX_TREE_N) + 1)
-            for t in _trees(n, True))
+            for t in free_trees(n, reduced=True, no_p3=True))
 
 
 def _class_G(max_n: int, seed: int, n_random: int) -> Iterator[Graph]:
     return (g for n in range(3, min(max_n, MAX_UNICYCLIC_N) + 1)
-            for g in _unicyclic(n, True))
+            for g in unicyclic_graphs(n, reduced=True, no_p3=True))
 
 
 # -- per-graph checks ------------------------------------------------------

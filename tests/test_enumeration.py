@@ -4,6 +4,7 @@ structural cross-checks against networkx, class filters, random graphs."""
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import networkx as nx
 import pytest
@@ -60,12 +61,21 @@ def level_digest(strings: list[str]) -> str:
     return hashlib.sha256("\n".join(strings).encode()).hexdigest()
 
 
+# the family generators' rule sets, each with its oracle predicates
+RULE_ORACLES = {
+    ("reduced",): (leaf_neighbours_have_one_leaf,),
+    ("no_p3",): (no_leaf_on_two_degree_two_vertices,),
+    ("reduced", "no_p3"): (leaf_neighbours_have_one_leaf,
+                           no_leaf_on_two_degree_two_vertices),
+}
+
+
 class TestLevels:
     def test_levels_are_pinned_and_counted(self):
         # every level up to the caps, byte for byte, and its size against
-        # the Otter and dihedral counting formulas; the class list is the
-        # level's members by the oracle, in generation order, and its size
-        # is pinned
+        # the Otter and dihedral counting formulas; each rule set streams
+        # the level's graphs that obey it by the oracle, in generation
+        # order, and the class list, both rules, has its size pinned
         for family, orders, count, digests, members, sizes in [
             (free_trees, range(1, MAX_TREE_N + 1), count_free_trees,
              TREE_LEVEL_SHA256, trees_in_class_T, CLASS_TREE_COUNTS),
@@ -74,14 +84,20 @@ class TestLevels:
              CLASS_UNICYCLIC_COUNTS),
         ]:
             for n in orders:
-                strings, want = [], []
+                strings, kept = [], {rules: [] for rules in RULE_ORACLES}
                 for g in family(n):
                     strings.append(to_graph6(g))
-                    if in_bound_class(adjacency_lists(g)):
-                        want.append(g)
+                    adj = adjacency_lists(g)
+                    for rules, oracles in RULE_ORACLES.items():
+                        if all(obeys(adj) for obeys in oracles):
+                            kept[rules].append(g)
                 strings.sort()
                 assert level_digest(strings) == digests[n], (family, n)
                 assert len(strings) == count(n), (family, n)
+                for rules, want in kept.items():
+                    built = family(n, **dict.fromkeys(rules, True))
+                    assert list(built) == want, (family, n, rules)
+                want = kept["reduced", "no_p3"]
                 assert members(n) == want, (family, n)
                 assert len(want) == sizes[n], (family, n)
 
@@ -256,22 +272,47 @@ class TestFilters:
                     if in_bound_class(adjacency_lists(g))]
             assert [canonical_form(g) for g in members(n)] == want, (family, n)
 
-    @pytest.mark.parametrize("cls, n", [("tree", 10), ("unicyclic", 9)])
-    def test_cli_filters_match_the_oracle(self, capsys, cls, n):
+    @pytest.mark.parametrize("cls, least, top", [
+        ("tree", 1, 13), ("unicyclic", 3, 11)])
+    def test_cli_filters_match_the_oracle(self, capsys, cls, least, top):
+        # every order up to top; the levels test covers the rules to the caps
         reduced = leaf_neighbours_have_one_leaf
         no_p3 = no_leaf_on_two_degree_two_vertices
-        everything = cli_enumerate(capsys, cls, n)
-        for spec, keep in [
-            ("reduced", reduced),
-            ("noP3", no_p3),
-            ("nop3", no_p3),
-            ("no-pendant-P3", no_p3),
-            ("reduced,noP3", in_bound_class),
-            ("no-pendant-P3,reduced", in_bound_class),
-        ]:
-            want = [s for s in everything
-                    if keep(adjacency_lists(parse_graph6(s)))]
-            assert cli_enumerate(capsys, cls, n, "--filter", spec) == want, spec
+        for n in range(least, top + 1):
+            everything = cli_enumerate(capsys, cls, n)
+            for spec, keep in [
+                ("reduced", reduced),
+                ("noP3", no_p3),
+                ("nop3", no_p3),
+                ("no-pendant-P3", no_p3),
+                ("reduced,noP3", in_bound_class),
+                ("no-pendant-P3,reduced", in_bound_class),
+            ]:
+                want = [s for s in everything
+                        if keep(adjacency_lists(parse_graph6(s)))]
+                got = cli_enumerate(capsys, cls, n, "--filter", spec)
+                assert got == want, (n, spec)
+
+    @pytest.mark.parametrize("cls, n", [("tree", 13), ("unicyclic", 11)])
+    @pytest.mark.parametrize("spec", ["reduced", "noP3", "reduced,noP3"])
+    def test_cli_filters_build_only_what_they_print(
+        self, monkeypatch, capsys, cls, n, spec
+    ):
+        # a filter selects the generator's rules, so every graph built is
+        # printed and none is built to be thrown away
+        built = 0
+        real = canon.build
+
+        def counted(word):
+            nonlocal built
+            built += 1
+            return real(word)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lap1") and getattr(module, "build", None) is real:
+                monkeypatch.setattr(module, "build", counted)
+        printed = cli_enumerate(capsys, cls, n, "--filter", spec)
+        assert 0 < len(printed) == built, (len(printed), built)
 
 
 class TestRandomGraphs:

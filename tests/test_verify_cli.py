@@ -103,7 +103,7 @@ class TestSuites:
         # what a suite leaves behind is its route memo, not its graphs,
         # and what it holds at once is one graph, not a level of them
         for n in range(3, 13):  # the grammar's tables, memoised for good
-            for _ in enumeration._unicyclic_words(n, True):
+            for _ in enumeration._unicyclic_words(n, True, True):
                 pass
         clear_caches()
         gc.collect()
