@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: mult, reduce, enumerate, verify, extremal.  Reports are JSON
-on stdout (or --json-out PATH), human summaries go to stderr.  Exit
+Subcommands: mult, reduce, enumerate, verify, extremal.  Reports are one
+line of JSON on stdout (or --json-out PATH), and mult and reduce give
+their graphs as edge lists; human summaries go to stderr.  Exit
 codes: 0 clean, 1 violations found, 2 usage or parse error, 3 internal
 inconsistency (fast and exact engines disagree), 4 internal error (an
 unexpected exception, whose traceback goes to stderr).
@@ -20,11 +21,11 @@ from pathlib import Path
 from .enumeration import free_trees, unicyclic_graphs
 from .extremal import ExtremalSpec, extremal_tree, extremal_unicyclic
 from .graph6 import (
-    MAX_N as GRAPH6_MAX_N,
     Graph6Error,
     parse_graph6,
     read_edge_list,
     to_graph6,
+    write_edge_list,
 )
 from .graphs import Graph, pendant_profile
 from .linalg import laplacian_multiplicity_one
@@ -78,16 +79,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return g
 
 
-def _check_graph6_order(g: Graph, what: str) -> None:
-    """Reduce reports carry graph6, so an order it cannot encode is a
-    usage error, checked on the input and again on the result."""
-    if g.n > GRAPH6_MAX_N:
-        raise UsageError(
-            f"{what} has order {g.n}, over {GRAPH6_MAX_N}, the largest"
-            " graph6 encodes; mult writes no graph6"
-        )
-
-
 def _read_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "g6", None):
         try:
@@ -119,7 +110,8 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 
 
 def _emit(payload: dict | list, args: argparse.Namespace) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # one line, sorted keys: json's C encoder, which indent would switch off
+    text = json.dumps(payload, sort_keys=True)
     if getattr(args, "json_out", None):
         try:
             Path(args.json_out).write_text(text + "\n")
@@ -160,13 +152,11 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    _check_graph6_order(g, "the input")
     reduce = final_reduction_graph if args.to == "final" else reduced_graph_steps
     result, steps = reduce(g)
-    _check_graph6_order(result, f"the {args.to} graph")
     trace = ReductionTrace(g, steps, sum(s.offset for s in steps))
-    _emit({"input_g6": to_graph6(g), "graph6": to_graph6(result),
-           "offset": trace.total, "trace": trace.to_json()}, args)
+    _emit({"result_edge_list": write_edge_list(result), "offset": trace.total,
+           "trace": trace.to_json()}, args)
     print(f"n={g.n} -> n={result.n} offset={trace.total} steps={len(steps)}",
           file=sys.stderr)
     return EXIT_OK

@@ -2,25 +2,27 @@
 reportable checks.
 
 A suite is one row of `_TABLE`: lowest order, default `max_n`, graph
-source, the row's own per-graph check (or none) and aggregate check.  A
-source is just a stream of `Graph`s.  One engine, `_run`, maps one step,
-`_check_graph`, over it.  The step encodes the graph to graph6 once, for
-the report, and never parses it back.  It compares three multiplicity
-routes (exact rank, characteristic polynomial, reduction pipeline) for
-every graph of every row, so a defect in any one engine surfaces as a
-"cross-oracle" violation, and a row's check adds only its own facts.
-The engine hands every (graph6, n, m) triple to the aggregate check and
-builds the report, whose n_range ends at the largest order checked.
+source, the row's own per-graph check (or none), and an aggregate check
+(thm2, thm3) or extra graphs (lemmas).  A source is just a stream of
+`Graph`s.  One engine, `_run`, maps one step, `_check_graph`, over it.
+The step encodes the graph to graph6 once, for the report, and never
+parses it back.  It compares three multiplicity routes (exact rank,
+characteristic polynomial, reduction pipeline) for every graph of every
+row, so a defect in any one engine surfaces as a "cross-oracle"
+violation, and a row's check adds only its own facts.
+The engine keeps the (graph6, n, m) triples only for an aggregate check
+and builds the report, whose n_range ends at the largest order checked.
 With jobs > 1 the engine lists the source's graphs and pickles them to
 worker processes (a pickled `Graph` is n and its edge set), so the step
 and the checks are module-level.
 
 The three routes run once per checked graph, memoised by its labelled
 graph6 (never a `Graph`) so that suites sharing a graph share its answers.
-Every other m_L(1) comes from leaf peeling, unmemoised: that of each graph
-a check derives (the reduced graph, G - e, the lemmas' transformations).
+Every other m_L(1) comes from leaf peeling: that of each graph a check
+derives (the reduced graph, G - e, the lemmas' transformations).
 Derived graphs are many, and holding their answers for the life of the
-process would cost more memory than recomputing the repeats costs time.
+process would cost more memory than recomputing the repeats costs time,
+so the lemma check keeps them only while it checks one graph.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 from .canon import canonical_form
@@ -246,9 +248,11 @@ def _check_thm1(g: Graph, g6: str, me: int) -> list[dict]:
 def _check_lemmas(g: Graph, g6: str, me: int) -> list[dict]:
     prof = pendant_profile(g)
     viol = _faria_eq2(g6, me, prof.p - prof.q, internal_submatrix(g, prof))
+    # derived graphs repeat (edge_split ignores u, twin pendants): peel once
+    peel = cache(lambda h: multiplicity_one_by_peeling(h))
 
     for u, v in g.sorted_edges():
-        md = multiplicity_one_by_peeling(g.remove_edge(u, v))
+        md = peel(g.remove_edge(u, v))
         if not md - 1 <= me <= md + 1:
             viol.append(
                 _violation(g6, f"within 1 of m(G-e)={md} (edge {u}-{v})", me,
@@ -270,12 +274,12 @@ def _check_lemmas(g: Graph, g6: str, me: int) -> list[dict]:
                     actual = f"n={g.n} mult={mult}"
                     viol.append(_violation(g6, expected, actual, "gms"))
         for path in find_internal_paths(g, 5):
-            md = multiplicity_one_by_peeling(contract_tree_P5(g, path))
+            md = peel(contract_tree_P5(g, path))
             if md != me:
                 viol.append(_violation(g6, me, md, "innerpathcorol"))
 
     for path in find_pendant_paths(g, 3):
-        md = multiplicity_one_by_peeling(delete_pendant_P3(g, path))
+        md = peel(delete_pendant_P3(g, path))
         if md != me:
             viol.append(_violation(g6, me, md, "path3"))
 
@@ -283,13 +287,13 @@ def _check_lemmas(g: Graph, g6: str, me: int) -> list[dict]:
         v = prof.pendant_owner[u]
         if g.degree(v) < 3:
             continue
-        mr = multiplicity_one_by_peeling(reduction_operation(g, u, v))
+        mr = peel(reduction_operation(g, u, v))
         if mr != me:
             viol.append(_violation(g6, me, mr, "reduction-op"))
         for w in g.neighbors(v):
             if w == u:
                 continue
-            ms = multiplicity_one_by_peeling(edge_split(g, u, v, w))
+            ms = peel(edge_split(g, u, v, w))
             if ms != me:
                 viol.append(_violation(g6, me, ms, "mainlemma"))
 
@@ -332,7 +336,7 @@ def _bound(results: Results, name: str, orders: range, shift: int, build) -> lis
     return viol
 
 
-def _thm2_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
+def _thm2_aggregate(results: Results, top: int) -> list[dict]:
     """The tree bound, the census of the seven class members of order
     6..9 (all m = 0), and the caterpillar as the unique extremal tree."""
     viol = []
@@ -345,18 +349,18 @@ def _thm2_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
         for g6, m in small:
             if m != 0:
                 viol.append(_violation(g6, "m=0 for n<=9", m, "thm2-census"))
-    return 0, viol + _bound(results, "thm2", range(6, top + 1), 6,
-                            extremal_tree_unverified)
+    return viol + _bound(results, "thm2", range(6, top + 1), 6,
+                         extremal_tree_unverified)
 
 
-def _thm3_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
+def _thm3_aggregate(results: Results, top: int) -> list[dict]:
     """The unicyclic bound from order 10 on, and the sun as the unique
     extremal unicyclic graph."""
-    return 0, _bound(results, "thm3", range(10, top + 1), 0,
-                     extremal_unicyclic_unverified)
+    return _bound(results, "thm3", range(10, top + 1), 0,
+                  extremal_unicyclic_unverified)
 
 
-def _lemmas_aggregate(results: Results, top: int) -> tuple[int, list[dict]]:
+def _lemmas_extra() -> tuple[int, list[dict]]:
     """Star-like and double star-like trees have m = 0, and cycles
     C_3..C_30 follow the closed form; each also gets the three routes."""
     cases = [(star_like_tree(s), 0, "starlike") for s in range(2, 7)]
@@ -382,9 +386,9 @@ class Suite:
     max_n: int  # default highest order
     graphs: Callable[[int, int, int], Iterator[Graph]]  # (max_n, seed, n_random)
     check: Check | None  # the row's own facts; the engine adds the routes
-    # (results, the largest order checked) -> (graphs checked beyond the
-    # source's, violations)
-    aggregate: Callable[[Results, int], tuple[int, list[dict]]] | None = None
+    # (results, the largest order checked) -> violations
+    aggregate: Callable[[Results, int], list[dict]] | None = None
+    extra: Callable[[], tuple[int, list[dict]]] | None = None  # -> (graphs, violations)
     seeded: bool = False  # the source draws random graphs from the seed
 
     def top(self, max_n: int | None) -> int:
@@ -400,7 +404,7 @@ _TABLE = {
         Suite("thm2", 6, 14, _class_T, None, _thm2_aggregate),
         Suite("thm3", 3, 13, _class_G, None, _thm3_aggregate),
         Suite("lemmas", 1, 10, _trees_and_unicyclic, _check_lemmas,
-              _lemmas_aggregate),
+              extra=_lemmas_extra),
     )
 }
 
@@ -418,23 +422,28 @@ def _run(
     t0 = time.monotonic()
     source = suite.graphs(suite.top(max_n), seed, n_random)
     results: Results = []
+    checked, top = 0, suite.lo
     violations = []
     step = partial(_check_graph, suite.check)
     for g6, n, m, viol in _map_graphs(step, source, jobs):
-        results.append((g6, n, m))
+        checked += 1
+        top = max(top, n)
+        if suite.aggregate is not None:
+            results.append((g6, n, m))
         violations += viol
-    top = max((n for _, n, _ in results), default=suite.lo)
-    extra = 0
     if suite.aggregate is not None:
-        extra, more = suite.aggregate(results, top)
-        violations += more
+        violations += suite.aggregate(results, top)
+    if suite.extra is not None:
+        more, viol = suite.extra()
+        checked += more
+        violations += viol
     violations.sort(
         key=lambda v: (v["rule"], v["graph6"], v["expected"], v["actual"])
     )
     return VerificationReport(
         suite.name,
         (suite.lo, top),
-        len(results) + extra,
+        checked,
         violations,
         int((time.monotonic() - t0) * 1000),
         seed if suite.seeded else None,

@@ -24,13 +24,21 @@ from lap1.graph6 import parse_graph6, read_edge_list, to_graph6, write_edge_list
 from lap1.graphs import (
     Graph,
     disjoint_union,
+    find_internal_paths,
+    find_pendant_paths,
     path_graph,
     pendant_profile,
     spider,
     star_graph,
 )
 from lap1.linalg import laplacian_multiplicity_one
-from lap1.reduction import ReductionTrace
+from lap1.reduction import (
+    ReductionTrace,
+    contract_tree_P5,
+    delete_pendant_P3,
+    edge_split,
+    reduction_operation,
+)
 from lap1.verify import (
     Suite,
     clear_caches,
@@ -48,13 +56,11 @@ from fixtures import CLASS_TREE_COUNTS, CLASS_UNICYCLIC_COUNTS
 def replayed(out: dict) -> list[dict]:
     """The steps of a reduce report, once `oracles.replay_reduce` has
     replayed them without fault from the input's edge list to the
-    reported graph6, and the report's graphs and offset agree."""
+    reported result edge list, and the report's offset agrees."""
     faults, n, edges = oracles.replay_reduce(out["trace"])
     assert faults == []
-    result = parse_graph6(out["graph6"])
+    result = read_edge_list(out["result_edge_list"])
     assert (n, edges) == (result.n, set(result.edges))
-    assert read_edge_list(out["trace"]["input_edge_list"]) == parse_graph6(
-        out["input_g6"])
     assert out["offset"] == out["trace"]["total"]
     assert all(set(s) == {"rule", "vertices", "offset"}
                for s in out["trace"]["steps"])
@@ -182,7 +188,7 @@ class TestSuites:
         r = verify_lemmas(max_n=8)
         assert r.passed
         # 1+1+1+2+3+6+11+23 trees, 1+2+5+13+33+89 unicyclic, then the
-        # aggregate's 20 star-like trees and 28 cycles
+        # lemmas row's extra 20 star-like trees and 28 cycles
         assert r.graphs_checked == 48 + 143 + 20 + 28
         assert calls == []
 
@@ -349,6 +355,31 @@ class TestSuites:
             "cross-oracle": r.graphs_checked
         }
         assert len({v["graph6"] for v in r.violations}) == r.graphs_checked
+
+    def test_lemma_check_peels_each_derived_graph_once(self, monkeypatch):
+        # a degree-4 vertex 0 with the two pendants 1 and 2: the splits of
+        # its edges to 3 and 4 repeat for the second pendant, and both
+        # pendants give the same reduction operation
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
+        derived = [g.remove_edge(u, v) for u, v in g.edges]
+        derived += [contract_tree_P5(g, p) for p in find_internal_paths(g, 5)]
+        derived += [delete_pendant_P3(g, p) for p in find_pendant_paths(g, 3)]
+        derived += [reduction_operation(g, u, 0) for u in (1, 2)]
+        derived += [edge_split(g, u, 0, w) for u in (1, 2)
+                    for w in g.neighbors(0) if w != u]
+        peeled = []
+        real = verify.multiplicity_one_by_peeling
+
+        def counted(h):
+            peeled.append(h)
+            return real(h)
+
+        monkeypatch.setattr(verify, "multiplicity_one_by_peeling", counted)
+        me = laplacian_multiplicity_one(g)
+        assert verify._check_lemmas(g, to_graph6(g), me) == []
+        assert len(set(derived)) < len(derived)
+        assert len(peeled) == len(set(peeled)) == len(set(derived))
+        assert set(peeled) == set(derived)
 
     @pytest.mark.parametrize("entry, kwargs", [
         pytest.param(verify_thm2, dict(max_n=10), id="thm2"),
@@ -522,17 +553,18 @@ class TestCli:
         assert cli.main(["reduce", "--g6", to_graph6(star_graph(3))]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["offset"] == 2
-        assert parse_graph6(out["graph6"]).n == 2
         (step,) = replayed(out)
         assert (step["rule"], step["vertices"]) == ("PendantCluster", [2, 3])
-        assert (out["input_g6"], out["graph6"]) == ("Cs", "A_")
+        assert out["trace"]["input_edge_list"] == "4 3\n0 1\n0 2\n0 3\n"
+        assert out["result_edge_list"] == "2 1\n0 1\n"
 
     def test_reduce_to_final(self, capsys):
         assert cli.main(
             ["reduce", "--g6", to_graph6(path_graph(6)), "--to", "final"]
         ) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["graph6"] == to_graph6(path_graph(6)) and out["offset"] == 0
+        assert out["result_edge_list"] == write_edge_list(path_graph(6))
+        assert out["offset"] == 0
 
         from lap1.graphs import spider
 
@@ -540,7 +572,7 @@ class TestCli:
             ["reduce", "--g6", to_graph6(spider([2, 2, 1])), "--to", "final"]
         ) == 0
         out = json.loads(capsys.readouterr().out)
-        result = parse_graph6(out["graph6"])
+        result = read_edge_list(out["result_edge_list"])
         from lap1.graphs import pendant_profile
 
         prof = pendant_profile(result)
@@ -572,22 +604,21 @@ class TestCli:
             assert cli.main(["reduce", "--g6", g6, "--to", to]) == 0
             out = json.loads(capsys.readouterr().out)
             # each step names what it did in the labels of the graph the
-            # step before it produced, and the replay ends on graph6
-            assert replayed(out) and out["input_g6"] == g6
+            # step before it produced, and the replay ends on the result
+            assert replayed(out)
+            assert read_edge_list(out["trace"]["input_edge_list"]) == (
+                parse_graph6(g6))
 
-    def test_final_graph_graph6_cannot_encode_is_a_usage_error(
-        self, capsys, monkeypatch
-    ):
-        # an input graph6 encodes may reduce to one it cannot: with the
-        # limit at 100, K_{1,40} of order 41 has a final graph of order 117
-        monkeypatch.setattr(graph6, "MAX_N", 100)
-        monkeypatch.setattr(cli, "GRAPH6_MAX_N", 100)
-        g6 = to_graph6(star_graph(40))
-        assert cli.main(["reduce", "--g6", g6, "--to", "final"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "the final graph has order 117, over 100" in captured.err
-        assert cli.main(["reduce", "--g6", g6]) == 0
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["mult", "--g6", "Cs"], id="mult"),
+        pytest.param(["reduce", "--g6", "Cs", "--to", "final"], id="reduce"),
+        pytest.param(["verify", "thm2", "--max-n", "9"], id="verify"),
+    ])
+    def test_reports_are_one_json_line_with_sorted_keys(self, argv, capsys):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
     def test_enumerate_counts(self, capsys):
         assert cli.main(["enumerate", "--class", "tree", "--n", "7"]) == 0
@@ -678,14 +709,15 @@ class TestCli:
         assert cli.main(["mult", "--file", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 3
 
-    def test_orders_graph6_cannot_encode_fail_reduce_only(self, tmp_path, capsys):
-        # reduce reports carry graph6, whose vertex count stops at
-        # 258,047; mult writes none, so its fast route answers too
+    def test_orders_past_graph6_reach_mult_and_reduce(self, tmp_path, capsys):
+        # graph6 encodes at most 258,047 vertices; mult and reduce write
+        # none, so K_{1,258047} of order 258,048 is reduced and counted
         path = tmp_path / "big.txt"
         path.write_text(write_edge_list(star_graph(258047)))
-        assert cli.main(["reduce", "--file", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "258047" in captured.err
+        assert cli.main(["reduce", "--file", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["offset"] == 258046
+        assert out["result_edge_list"] == "2 1\n0 1\n"
         assert cli.main(["mult", "--method", "fast", "--file", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["m1"] == out["trace"]["total"] == 258046
